@@ -482,10 +482,19 @@ func BenchmarkCryptoPerOp(b *testing.B) {
 			_ = signers[0].Sign(crypto.DomainSubmit, payload)
 		}
 	})
-	sig := signers[0].Sign(crypto.DomainSubmit, payload)
+	// A keyring answers a re-check of an accepted signature from its
+	// cache; cycling through more distinct signatures than it holds makes
+	// every check a real verification.
+	payloads := make([][]byte, 2048)
+	sigs := make([][]byte, len(payloads))
+	for i := range payloads {
+		payloads[i] = wire.SubmitPayload(wire.OpWrite, 0, int64(i+1), nil)
+		sigs[i] = signers[0].Sign(crypto.DomainSubmit, payloads[i])
+	}
 	b.Run("verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !ring.Verify(0, sig, crypto.DomainSubmit, payload) {
+			k := i % len(sigs)
+			if !ring.Verify(0, sigs[k], crypto.DomainSubmit, payloads[k]) {
 				b.Fatal("verify failed")
 			}
 		}

@@ -121,9 +121,12 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 
 // Keyring holds the public keys of all n clients and, optionally, the
 // private key of one of them. All parties (clients and the server, if it
-// chose to verify) share the same public keyring.
+// chose to verify) share the same public keyring. A Keyring also caches
+// the signature triples it has accepted (see verified.go), so every party
+// sharing one keyring verifies each distinct signature once.
 type Keyring struct {
-	pubs []ed25519.PublicKey
+	pubs     []ed25519.PublicKey
+	verified verifiedCache
 }
 
 // N returns the number of clients the keyring covers.
@@ -133,6 +136,14 @@ func (k *Keyring) N() int { return len(k.pubs) }
 // domain-separated payload. It returns false for out-of-range client
 // indices and malformed signatures rather than panicking: in this protocol
 // a bad signature is evidence of misbehavior, not a programming error.
+//
+// A triple this keyring accepted before is answered from its verified
+// cache without a second ed25519.Verify. The cache key (signer index,
+// domain, payload and signature hashed together) and the message to
+// verify share one pooled buffer, laid out as
+// signer(4) ‖ domain ‖ payload ‖ signature with the message in the middle.
+//
+//faustlint:hotpath
 func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
 	if i < 0 || i >= len(k.pubs) {
 		return false
@@ -141,12 +152,24 @@ func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
 		return false
 	}
 	bp := scratchPool.Get().(*[]byte)
-	msg := append((*bp)[:0], domain)
-	msg = append(msg, payload...)
-	start := obs.StartTimer()
-	ok := ed25519.Verify(k.pubs[i], msg, sig)
-	verifyNs.ObserveSince(start)
-	*bp = msg
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(i))
+	buf = append(buf, domain)
+	buf = append(buf, payload...)
+	msg := buf[4:]
+	buf = append(buf, sig...)
+	key := verifiedKey(sha256.Sum256(buf))
+	ok := k.verified.contains(&key)
+	if ok {
+		verifiedHits.Inc()
+	} else {
+		start := obs.StartTimer()
+		ok = ed25519.Verify(k.pubs[i], msg, sig)
+		verifyNs.ObserveSince(start)
+		if ok {
+			k.verified.insert(&key)
+		}
+	}
+	*bp = buf
 	scratchPool.Put(bp)
 	return ok
 }

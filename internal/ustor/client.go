@@ -98,17 +98,14 @@ type Client struct {
 	payload []byte
 	hash    []byte
 
-	// One-entry memo of the last COMMIT-signature known to verify:
-	// (committer, canonical payload, signature). Ed25519 verification is a
-	// pure function, so re-presenting byte-identical inputs needs no second
-	// verification. In steady state the server's SVER[c] is the version
-	// this client just committed (memoized when it signs) or the one it
-	// verified on the previous reply, which removes a full verify from the
-	// hot path without weakening any check: one differing byte falls back
-	// to real verification.
-	memoC       int
-	memoPayload []byte
-	memoSig     []byte
+	// The client's own last COMMIT-signature phi and the payload it
+	// covers. In steady state the server's SVER[c] is the version this
+	// client just committed; recognising its own signature needs no
+	// verification. It stays private to this client: signatures of other
+	// clients are only ever accepted through the keyring's Verify, which
+	// remembers accepted triples for every client sharing the ring.
+	ownPayload []byte
+	ownSig     []byte
 }
 
 // ClientOption configures a Client.
@@ -150,7 +147,6 @@ func NewClient(id int, ring *crypto.Keyring, signer *crypto.Signer, link transpo
 		ring:   ring,
 		link:   link,
 		ver:    version.New(ring.N()),
-		memoC:  -1,
 		events: obs.Default().Events(),
 	}
 	for _, o := range opts {
@@ -535,26 +531,13 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 }
 
 // verifyCommitSig checks a COMMIT-signature by client i over the payload
-// currently in c.payload, consulting the one-entry verification memo
-// first. A hit is exactly as strong as a fresh verification (same pure
-// function, same inputs); a miss verifies for real and refreshes the memo.
+// currently in c.payload. The client's own last phi over the same payload
+// is recognised byte for byte; anything else goes to the keyring.
 func (c *Client) verifyCommitSig(i int, sig []byte) bool {
-	if i == c.memoC && bytes.Equal(c.payload, c.memoPayload) && bytes.Equal(sig, c.memoSig) {
+	if i == c.id && c.ownSig != nil && bytes.Equal(c.payload, c.ownPayload) && bytes.Equal(sig, c.ownSig) {
 		return true
 	}
-	if !c.ring.Verify(i, sig, crypto.DomainCommit, c.payload) {
-		return false
-	}
-	c.memoize(i, c.payload, sig)
-	return true
-}
-
-// memoize records a (committer, payload, signature) triple known to
-// verify, copying into owned buffers reused across operations.
-func (c *Client) memoize(i int, payload, sig []byte) {
-	c.memoC = i
-	c.memoPayload = append(c.memoPayload[:0], payload...)
-	c.memoSig = append(c.memoSig[:0], sig...)
+	return c.ring.Verify(i, sig, crypto.DomainCommit, c.payload)
 }
 
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
@@ -563,10 +546,10 @@ func (c *Client) memoize(i int, payload, sig []byte) {
 func (c *Client) commit() (wire.SignedVersion, error) {
 	c.payload = wire.AppendCommitPayload(c.payload[:0], c.ver)
 	phi := c.signer.Sign(crypto.DomainCommit, c.payload)
-	// The client's own signature over its own version trivially verifies;
-	// memoizing it here is what makes the next reply's SVER[c] check a
-	// memo hit in the common uncontended case.
-	c.memoize(c.id, c.payload, phi)
+	// Kept in owned buffers reused across operations: the next reply's
+	// SVER[c] is this version in the common uncontended case.
+	c.ownPayload = append(c.ownPayload[:0], c.payload...)
+	c.ownSig = append(c.ownSig[:0], phi...)
 	psi := c.signer.Sign(crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received
