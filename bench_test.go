@@ -546,9 +546,9 @@ func BenchmarkServerPersist(b *testing.B) {
 		b.Cleanup(func() { _ = ps.Close() })
 		return ps
 	}
-	file := func(b *testing.B, opts store.FileOptions) store.Backend {
+	file := func(b *testing.B, fsync bool) store.Backend {
 		b.Helper()
-		backend, err := store.OpenFile(b.TempDir(), opts)
+		backend, err := store.OpenFile(b.TempDir(), fsync)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -557,17 +557,12 @@ func BenchmarkServerPersist(b *testing.B) {
 	b.Run("mem-no-persistence", func(b *testing.B) { run(b, ustor.NewServer(n)) })
 	b.Run("wal-membackend", func(b *testing.B) { run(b, persistent(b, store.NewMemBackend())) })
 	b.Run("wal-file-nofsync", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{GroupCommit: true, FlushInterval: 2 * time.Millisecond})))
+		run(b, persistent(b, file(b, false)))
 	})
-	// wal-file-fsync is the production configuration: group commit, one
-	// batched write + fdatasync per reply covering every buffered record.
+	// wal-file-fsync is the production configuration: one write plus
+	// fdatasync per dispatcher batch, covering every record it logged.
 	b.Run("wal-file-fsync", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond})))
-	})
-	// wal-file-fsync-each is the pre-group-commit behavior (one fsync per
-	// record), kept as the ablation baseline.
-	b.Run("wal-file-fsync-each", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{Fsync: true})))
+		run(b, persistent(b, file(b, true)))
 	})
 }
 

@@ -164,13 +164,13 @@ func main() {
 		{"overhead", "E14: throughput of trusted vs USTOR vs FAUST vs lock-step", expOverhead},
 		{"crypto", "E12: cryptographic cost per operation", expCrypto},
 		{"persist", "E15: durability cost — in-memory vs WAL-logged server (fsync off/on)", expPersist},
-		{"throughput", "E16: concurrent multi-client throughput, in-memory vs group-commit WAL", expThroughput},
+		{"throughput", "E16: concurrent multi-client throughput, in-memory vs fsync'd WAL", expThroughput},
 		{"multishard", "E17: multi-tenant shard scaling over TCP vs the single-dispatcher baseline", expMultiShard},
 		{"kv", "E18: authenticated KV layer — value-size and key-count sweeps, cache ablation", expKV},
 		{"kvtree", "E19: O(log n) directories — Put/GetFrom cost vs key count, Merkle tree vs flat ablation", expKVTree},
 		{"lattail", "E20: latency tails (p50/p99/p999) under concurrent load, and the cost of metrics", expLatencyTail},
 		{"failover", "E21: blob-fleet failover — KV workload survives the primary's death; degraded vs recovered tails, tampered-replica ablation", expFailover},
-		{"batch", "E22: batched verify/apply dispatch — ops/sec and tails vs batch cap and client count, unbatched (cap=1) ablation", expBatch},
+		{"batch", "E22: batched verify/apply dispatch — ops/sec and tails vs batch cap and client count, one-op batches (cap=1) ablation", expBatch},
 	}
 
 	want := map[string]bool{}
@@ -688,20 +688,18 @@ func expPersist() {
 			_ = os.RemoveAll(d)
 		}
 	}()
-	fileBackend := func(opts store.FileOptions) store.Backend {
+	fileBackend := func(fsync bool) store.Backend {
 		dir, err := os.MkdirTemp("", "faust-bench-persist")
 		if err != nil {
 			fail(err)
 		}
 		tmpDirs = append(tmpDirs, dir)
-		b, err := store.OpenFile(dir, opts)
+		b, err := store.OpenFile(dir, fsync)
 		if err != nil {
 			fail(err)
 		}
 		return b
 	}
-	groupCommit := store.FileOptions{GroupCommit: true, FlushInterval: 2 * time.Millisecond}
-	groupCommitFsync := store.FileOptions{Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond}
 
 	type row struct {
 		name string
@@ -710,9 +708,8 @@ func expPersist() {
 	rows := []row{
 		{"in-memory (no persistence)", run("persist/mem", ustor.NewServer(n))},
 		{"WAL, MemBackend (codec only)", runPersistent("persist/wal-mem", store.NewMemBackend())},
-		{"WAL, FileBackend, fsync off", runPersistent("persist/wal-file", fileBackend(groupCommit))},
-		{"WAL, FileBackend, fsync+group", runPersistent("persist/wal-file-fsync", fileBackend(groupCommitFsync))},
-		{"WAL, FileBackend, fsync each", runPersistent("persist/wal-file-fsync-each", fileBackend(store.FileOptions{Fsync: true}))},
+		{"WAL, FileBackend, fsync off", runPersistent("persist/wal-file", fileBackend(false))},
+		{"WAL, FileBackend, fsync on", runPersistent("persist/wal-file-fsync", fileBackend(true))},
 	}
 	total := float64(n * opsPer)
 	base := rows[0].d.Seconds()
@@ -724,7 +721,7 @@ func expPersist() {
 
 // expThroughput measures aggregate multi-client throughput over a
 // read/write mix — the sustained-load number the ROADMAP tracks — against
-// an in-memory server and a group-commit, fsync'd WAL server.
+// an in-memory server and an fsync'd WAL server.
 func expThroughput() {
 	const opsPer = 200
 	run := func(experiment string, m int, readFrac float64, core transport.ServerCore) float64 {
@@ -771,7 +768,7 @@ func expThroughput() {
 		return float64(m*opsPer) / d.Seconds()
 	}
 
-	fmt.Printf("%-10s %-10s %16s %22s\n", "clients", "reads", "memory ops/sec", "wal fsync+group ops/sec")
+	fmt.Printf("%-10s %-10s %16s %22s\n", "clients", "reads", "memory ops/sec", "wal fsync ops/sec")
 	for _, tc := range []struct {
 		m        int
 		readFrac float64
@@ -782,7 +779,7 @@ func expThroughput() {
 		if err != nil {
 			fail(err)
 		}
-		backend, err := store.OpenFile(dir, store.FileOptions{Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond})
+		backend, err := store.OpenFile(dir, true)
 		if err != nil {
 			fail(err)
 		}
@@ -1182,7 +1179,7 @@ func expKVTree() {
 // single wall-clock number hides. It reruns the E16 concurrent
 // read/write mix but timestamps EVERY operation, then reports exact
 // p50/p99/p999 over the sorted samples — for the in-memory server, for
-// the group-commit fsync'd WAL server (whose batching shows up as tail,
+// the fsync'd WAL server (whose batching shows up as tail,
 // not median), and for the in-memory server with observability disabled,
 // which bounds what the always-on metrics cost on the hot path.
 func expLatencyTail() {
@@ -1314,7 +1311,7 @@ func expLatencyTail() {
 		fail(err)
 	}
 	defer os.RemoveAll(dir)
-	backend, err := store.OpenFile(dir, store.FileOptions{Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond})
+	backend, err := store.OpenFile(dir, true)
 	if err != nil {
 		fail(err)
 	}
@@ -1335,7 +1332,7 @@ func expLatencyTail() {
 	}{
 		{"in-memory, metrics on", mem},
 		{"in-memory, metrics off", memOff},
-		{"WAL fsync+group-commit, metrics on", wal},
+		{"WAL fsync, metrics on", wal},
 	} {
 		fmt.Printf("%-34s %12.0f %10.1f %10.1f %10.1f %10.1f\n", r.name,
 			r.t.opsPerSec, us(r.t.p50), us(r.t.p99), us(r.t.p999), r.t.allocsPerOp)
@@ -1582,23 +1579,22 @@ func expFailover() {
 // expBatch is E22: the staged batch pipeline of the dispatcher. Signed
 // wire-level clients (one SUBMIT-signature per op, replies awaited but
 // not re-verified) run over the in-memory transport against a
-// WAL-logged server (fsync + group commit — the deployment the pipeline
-// exists for), with dispatcher-side signature verification armed,
+// WAL-logged server (fsync on — the deployment the pipeline exists
+// for), with dispatcher-side signature verification armed,
 // sweeping the drain cap against the client count. Wire-level rather
 // than full-protocol clients on purpose: a full USTOR client performs
 // O(n) PROOF verifications per REPLY, and at 128 clients that
 // client-side crypto saturates a small runner's CPU and masks the
 // server-side pipeline this experiment measures (the full client's
-// latency profile is E20's subject). cap=1 is the ablation: every op
-// takes the unbatched fast path, paying one fsync per op exactly like
-// the pre-pipeline dispatcher. The headline claim is the cap-64 vs
+// latency profile is E20's subject). cap=1 is the ablation: every op is
+// its own batch and pays its own fsync. The headline claim is the cap-64 vs
 // cap-1 ops/sec ratio at the highest client count (>= 2x): with many
 // submitters queued, one drain covers the whole inbox and the batch
 // shares a single fdatasync and one delivery per connection. The final
-// fastpath-wal row re-runs the E20 lattail/wal-gc shape with REAL
-// full-protocol clients (4 clients, cap 1) so the trajectory file can
-// confirm the fast path's p99 did not regress against the pre-batching
-// dispatcher.
+// cap1-wal row re-runs the E20 lattail/wal-gc shape with REAL
+// full-protocol clients (4 clients, cap 1), so the trajectory file shows
+// what one-op batches cost full clients; cf. lattail/wal-gc at the
+// default cap.
 func expBatch() {
 	caps := []int{1, 8, 64, 256}
 	clientCounts := []int{1, 16, 128}
@@ -1631,9 +1627,7 @@ func expBatch() {
 			fail(err)
 		}
 		defer os.RemoveAll(dir)
-		backend, err := store.OpenFile(dir, store.FileOptions{
-			Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond,
-		})
+		backend, err := store.OpenFile(dir, true)
 		if err != nil {
 			fail(err)
 		}
@@ -1777,8 +1771,8 @@ func expBatch() {
 	}
 
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("(WAL fsync+group-commit server, dispatcher signature verification on,\n" +
-		" signed wire-level writes; cap=1 is the unbatched ablation)\n")
+	fmt.Printf("(WAL fsync server, dispatcher signature verification on,\n" +
+		" signed wire-level writes; cap=1 is the one-op-batch ablation)\n")
 	fmt.Printf("%-10s %6s %8s %12s %10s %10s %10s\n",
 		"clients", "cap", "ops", "ops/sec", "p50 us", "p99 us", "p999 us")
 	byCap := make(map[[2]int]tail)
@@ -1807,12 +1801,12 @@ func expBatch() {
 		recordValue(fmt.Sprintf("batch/speedup-c%d", topM), topM, speedup, "x")
 	}
 
-	// Fast-path regression guard: same shape as E20's lattail/wal-gc.
-	fpOps := 400
+	// Full clients at cap 1: same shape as E20's lattail/wal-gc.
+	c1Ops := 400
 	if quick {
-		fpOps = 120
+		c1Ops = 120
 	}
-	fp := runFull("batch/fastpath-wal", 4, 1, fpOps)
-	fmt.Printf("%-10s %6d %8d %12.0f %10.1f %10.1f %10.1f  (fast-path guard, cf. lattail/wal-gc)\n",
-		"4", 1, 4*fpOps, fp.opsPerSec, us(fp.p50), us(fp.p99), us(fp.p999))
+	c1 := runFull("batch/cap1-wal", 4, 1, c1Ops)
+	fmt.Printf("%-10s %6d %8d %12.0f %10.1f %10.1f %10.1f  (full clients, cf. lattail/wal-gc)\n",
+		"4", 1, 4*c1Ops, c1.opsPerSec, us(c1.p50), us(c1.p99), us(c1.p999))
 }

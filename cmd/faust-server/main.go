@@ -15,8 +15,7 @@
 // to -max-batch messages: SUBMIT signatures verify in parallel across
 // -verify-workers goroutines (with -verify), ops apply in order, the WAL
 // syncs once per batch, and replies coalesce into one framed write per
-// connection. -max-batch 1 disables batching (every op takes the
-// unbatched fast path).
+// connection. -max-batch 1 makes every op its own batch.
 //
 // Example:
 //
@@ -52,8 +51,7 @@
 // Persistent shards live in <data-dir>/shards/<name>/ (the default shard
 // keeps the historic layout at the -data-dir root, so existing data
 // directories recover unchanged). Each shard has its own WAL and
-// snapshots; -fsync, -group-commit, -flush-interval and -snapshot-every
-// apply to every persistent shard.
+// snapshots; -fsync and -snapshot-every apply to every persistent shard.
 //
 // # Persistence
 //
@@ -80,13 +78,10 @@
 // crashes (OS page cache); on, it also survives power loss (see
 // BenchmarkServerPersist and faust-bench -run persist).
 //
-// The WAL runs in group-commit mode by default (-group-commit=false for
-// per-record writes): records buffer briefly and reach the disk as one
-// batched write plus — with -fsync — a single fdatasync that covers every
-// record a REPLY depends on. -flush-interval bounds how long an idle
-// COMMIT may stay buffered; losing one to a crash inside that window is
-// fail-safe (the committing client reports the rollback rather than
-// accepting it).
+// Each dispatcher batch ends with one WAL flush: the batch's records, its
+// SUBMITs and COMMITs alike, reach the disk as one write plus — with
+// -fsync — a single fdatasync, before any of the batch's REPLYs leave.
+// An operation is durable when its batch ends.
 //
 // Durability is deliberately unauthenticated: a data directory altered by
 // an attacker (e.g. a truncated WAL rolling the state back) recovers
@@ -117,7 +112,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"faust/internal/blobfleet"
 	"faust/internal/crypto"
@@ -133,9 +127,7 @@ func main() {
 	n := flag.Int("n", 3, "number of clients (registers) of the default shard")
 	dataDir := flag.String("data-dir", "", "persistence directory; empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "rotate a state snapshot every N logged records (0 = never)")
-	fsync := flag.Bool("fsync", false, "sync the WAL before every reply (survives power loss, slower)")
-	groupCommit := flag.Bool("group-commit", true, "batch WAL records into one write+sync per reply instead of one per record")
-	flushInterval := flag.Duration("flush-interval", 2*time.Millisecond, "group-commit: max time a buffered record may wait for a background flush")
+	fsync := flag.Bool("fsync", false, "sync the WAL at the end of every dispatcher batch, before its replies (survives power loss, slower)")
 	shardsFile := flag.String("shards", "", "shard manifest file: one '<name> n=<clients> [persist]' per line")
 	shardSpec := flag.String("shard-spec", "", "template for lazily created shards, e.g. 'n=4,persist'; empty = reject undeclared shards")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /events, /debug/vars and /debug/pprof on this address; empty = disabled")
@@ -143,7 +135,7 @@ func main() {
 	blobFaults := flag.String("blob-faults", "", "fault-inject one fleet backend, e.g. 'backend=0,errs=0.3,latency=2ms,seed=7' (requires -blob-backends)")
 	traceSample := flag.Int("trace-sample", 0, "retain 1 in N traces by head sampling (0 = head sampling off)")
 	traceSlow := flag.Duration("trace-slow", 0, "always retain traces at least this slow (tail sampling; 0 = off)")
-	maxBatch := flag.Int("max-batch", transport.DefaultMaxBatch, "max messages a shard dispatcher drains per batch (1 = unbatched)")
+	maxBatch := flag.Int("max-batch", transport.DefaultMaxBatch, "max messages a shard dispatcher drains per batch (1 = one op per batch)")
 	verify := flag.Bool("verify", false, "verify SUBMIT signatures at the dispatcher (admission hygiene; keys derived from -seed)")
 	verifyWorkers := flag.Int("verify-workers", 0, "goroutines for parallel batch signature verification (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 42, "deterministic demo key seed for -verify (must match the clients' -seed)")
@@ -212,12 +204,8 @@ func main() {
 	}
 
 	opts := shard.Options{
-		BaseDir: *dataDir,
-		FileOptions: store.FileOptions{
-			Fsync:         *fsync,
-			GroupCommit:   *groupCommit,
-			FlushInterval: *flushInterval,
-		},
+		BaseDir:      *dataDir,
+		Fsync:        *fsync,
 		StoreOptions: store.Options{SnapshotEvery: *snapshotEvery},
 		Default:      def,
 		BlobFleet:    fleetSpec,
@@ -244,8 +232,8 @@ func main() {
 	}
 	defInfo, _ := router.Info(transport.DefaultShard)
 	if defInfo.Persistent {
-		fmt.Printf("faust-server: recovered from %s (snapshot: %v, WAL records replayed: %d, fsync: %v, group-commit: %v)\n",
-			defInfo.Dir, defInfo.RecoveredSnapshot, defInfo.ReplayedRecords, *fsync, *groupCommit)
+		fmt.Printf("faust-server: recovered from %s (snapshot: %v, WAL records replayed: %d, fsync: %v)\n",
+			defInfo.Dir, defInfo.RecoveredSnapshot, defInfo.ReplayedRecords, *fsync)
 	}
 	if fleetSpec != nil {
 		names := make([]string, 0, len(fleetSpec.Entries))

@@ -31,9 +31,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	ring, signers := crypto.NewTestKeyring(n, 42)
 
 	// WAL-backed server over TCP with fsync, so faust_wal_fsync_ns flows.
-	backend, err := store.OpenFile(t.TempDir(), store.FileOptions{
-		Fsync: true, GroupCommit: true, FlushInterval: time.Millisecond,
-	})
+	backend, err := store.OpenFile(t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +154,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	// WAL fsync timings from the persistent server.
 	mustPositive(`faust_wal_fsync_ns_count`)
 	mustPositive(`faust_wal_appends_total`)
+	mustPositive(`faust_wal_flushes_total`)
 	// Protocol events from the forked pair.
 	mustPositive(`faust_events_total{kind="fork-detected"}`)
 	mustPositive(`faust_events_total{kind="fail-notification"}`)

@@ -70,8 +70,9 @@ type Options struct {
 	// (<BaseDir>/shards/<name>). Required if any persistent shard leaves
 	// Spec.Dir empty.
 	BaseDir string
-	// FileOptions configures every persistent shard's FileBackend.
-	FileOptions store.FileOptions
+	// Fsync makes every persistent shard's WAL flushes and blob writes
+	// survive power loss (see store.OpenFile).
+	Fsync bool
 	// StoreOptions configures every persistent shard's WAL wrapper.
 	StoreOptions store.Options
 	// Default, when non-nil, is the template for shards that are resolved
@@ -352,7 +353,7 @@ func (r *Router) create(sp Spec) (*instance, error) {
 	if !sp.Persist {
 		return inst, nil
 	}
-	backend, err := store.OpenFile(dir, r.opts.FileOptions)
+	backend, err := store.OpenFile(dir, r.opts.Fsync)
 	if err != nil {
 		inst.closeBlobs()
 		return nil, fmt.Errorf("shard: opening %q backend: %w", sp.Name, err)
@@ -375,7 +376,7 @@ func (r *Router) create(sp Spec) (*instance, error) {
 // in-memory shards.
 func (r *Router) openBlobs(inst *instance, sp Spec, dir string) error {
 	if fs := r.opts.BlobFleet; fs != nil {
-		fleet, err := fs.Build(dir, r.opts.FileOptions.Fsync, blobfleet.Options{Shard: sp.Name}, r.opts.BlobFaults)
+		fleet, err := fs.Build(dir, r.opts.Fsync, blobfleet.Options{Shard: sp.Name}, r.opts.BlobFaults)
 		if err != nil {
 			return fmt.Errorf("shard: building %q blob fleet: %w", sp.Name, err)
 		}
@@ -386,7 +387,7 @@ func (r *Router) openBlobs(inst *instance, sp Spec, dir string) error {
 		inst.blobs = transport.NewMemBlobs()
 		return nil
 	}
-	blobs, err := store.OpenFileBlobs(filepath.Join(dir, "blobs"), r.opts.FileOptions.Fsync)
+	blobs, err := store.OpenFileBlobs(filepath.Join(dir, "blobs"), r.opts.Fsync)
 	if err != nil {
 		return fmt.Errorf("shard: opening %q blob store: %w", sp.Name, err)
 	}

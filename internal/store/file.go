@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"faust/internal/obs"
 	"faust/internal/wire"
@@ -53,47 +52,28 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // though snapshot files exist.
 var ErrCorruptSnapshot = errors.New("store: all snapshots corrupt")
 
-// FileOptions configures a FileBackend.
-type FileOptions struct {
-	// Fsync syncs the WAL after appends and the directory after every
-	// snapshot rotation. Off, the backend survives process crashes (the
-	// OS page cache keeps writes); on, it also survives power loss, at a
-	// per-operation cost the benchmarks quantify.
-	Fsync bool
-	// GroupCommit batches appends: records accumulate in a buffer and hit
-	// the disk on the next Flush as one write plus (with Fsync) one
-	// fdatasync, instead of one write + fsync per record. Concurrent
-	// flushers coalesce: a caller whose records were covered by another
-	// caller's in-flight flush returns without a second sync. Group-commit
-	// segments are also preallocated in chunks so steady-state syncs do
-	// not rewrite file metadata. Durability of an individual record is
-	// deferred to the next Flush — exactly the WAL contract the Persistent
-	// wrapper needs, since it flushes before any REPLY escapes.
-	GroupCommit bool
-	// FlushInterval, with GroupCommit, bounds how long a buffered record
-	// may linger before a background flush picks it up (idle servers would
-	// otherwise keep the last COMMITs of a burst in memory indefinitely).
-	// Zero disables the background flusher; Flush, WriteSnapshot and Close
-	// still flush.
-	FlushInterval time.Duration
-}
-
-// preallocChunk is the step in which group-commit WAL segments are grown
-// ahead of the write offset. Appends then overwrite already-allocated
-// zeros, so an fdatasync needs no metadata write — the classic WAL
-// preallocation trick. Recovery treats the zero-filled tail as torn and
-// truncates it.
+// preallocChunk is the step in which WAL segments are grown ahead of the
+// write offset. Appends then overwrite already-allocated zeros, so an
+// fdatasync needs no metadata write — the classic WAL preallocation
+// trick. Recovery treats the zero-filled tail as torn and truncates it.
 const preallocChunk = 1 << 20
 
 // FileBackend is the durable Backend: length-prefixed, CRC-checksummed WAL
 // segments plus atomic snapshot files in a single directory.
 //
+// Append only frames a record into an in-memory buffer; Flush writes the
+// whole buffer in one write and, with fsync, one fdatasync. The
+// dispatcher flushes once per drained batch, so a batch's records share
+// a single sync. Concurrent flushers coalesce: whoever holds flushMu
+// writes every record buffered so far, and the others find the buffer
+// empty.
+//
 // Lock order: flushMu (held across disk writes) before mu (guards buffers
 // and handles, held only for memory operations).
 type FileBackend struct {
-	mu   sync.Mutex
-	dir  string
-	opts FileOptions
+	mu    sync.Mutex
+	dir   string
+	fsync bool
 
 	gen    uint64
 	wal    *os.File
@@ -102,16 +82,12 @@ type FileBackend struct {
 	loaded bool
 	closed bool
 
-	// Group-commit state.
 	flushMu     sync.Mutex
 	buf         []byte // framed records awaiting flush
 	spare       []byte // recycled batch buffer
 	flushErr    error  // sticky write/sync failure
 	off         int64  // end of written data in the current segment
 	preallocEnd int64  // file size extended ahead of off
-	flushStop   chan struct{}
-	flushDone   chan struct{}
-	stopOnce    sync.Once
 }
 
 var _ Backend = (*FileBackend)(nil)
@@ -123,36 +99,20 @@ func walName(gen uint64) string  { return fmt.Sprintf("wal-%08d.log", gen) }
 // crash recovery: it selects the newest valid snapshot, replays the
 // matching WAL segment tolerating a torn final record, truncates the torn
 // tail, and removes files from older generations.
-func OpenFile(dir string, opts FileOptions) (*FileBackend, error) {
+//
+// fsync makes every Flush end in an fdatasync and every snapshot rotation
+// sync its directory. Off, the backend survives process crashes (the OS
+// page cache keeps writes); on, it also survives power loss, at a cost
+// the benchmarks quantify.
+func OpenFile(dir string, fsync bool) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	b := &FileBackend{dir: dir, opts: opts}
+	b := &FileBackend{dir: dir, fsync: fsync}
 	if err := b.recover(); err != nil {
 		return nil, err
 	}
-	if opts.GroupCommit && opts.FlushInterval > 0 {
-		b.flushStop = make(chan struct{})
-		b.flushDone = make(chan struct{})
-		go b.flushLoop()
-	}
 	return b, nil
-}
-
-// flushLoop is the background group-commit flusher: it bounds how long a
-// buffered record may stay memory-only while the server is idle.
-func (b *FileBackend) flushLoop() {
-	defer close(b.flushDone)
-	ticker := time.NewTicker(b.opts.FlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.flushStop:
-			return
-		case <-ticker.C:
-			_ = b.Flush() // errors are sticky; the next Append/Flush reports them
-		}
-	}
 }
 
 // recover selects the generation, reads snapshot and WAL, and leaves the
@@ -185,10 +145,10 @@ func (b *FileBackend) recover() error {
 	b.tail = tail
 	b.off = valid
 	b.preallocEnd = valid
-	if b.opts.Fsync {
+	if b.fsync {
 		// The segment may have just been created (or truncated): persist
 		// its directory entry too, or power loss could drop the whole file
-		// out from under the per-append syncs.
+		// out from under the flush syncs.
 		if err := wal.Sync(); err != nil {
 			return err
 		}
@@ -294,7 +254,7 @@ func writeSnapshotFile(path string, state []byte, fsync bool) error {
 
 // openWAL opens (creating if absent) one WAL segment, parses its records,
 // drops a torn or corrupt tail (including the zero-filled padding a
-// preallocated group-commit segment leaves after a crash), truncates the
+// preallocated segment leaves after a crash), truncates the
 // file to the valid prefix and returns it positioned for appending, along
 // with the valid end offset.
 func openWAL(path string) (*os.File, []Record, int64, error) {
@@ -399,8 +359,8 @@ func (b *FileBackend) Load() ([]byte, []Record, error) {
 }
 
 // appendFramed frames rec (u32 len | u32 crc | payload) directly into buf
-// and returns the extended slice — no intermediate allocation, so the
-// group-commit path encodes straight into the shared batch buffer.
+// and returns the extended slice — no intermediate allocation, so Append
+// encodes straight into the shared batch buffer.
 func appendFramed(buf []byte, rec Record) ([]byte, error) {
 	switch rec.Msg.(type) {
 	case *wire.Submit, *wire.Commit:
@@ -421,74 +381,30 @@ func appendFramed(buf []byte, rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Append implements Backend. In group-commit mode the record lands in the
-// batch buffer and becomes durable on the next Flush; otherwise it is
-// written (and, with Fsync, synced) immediately.
+// Append implements Backend: the record lands in the batch buffer and
+// becomes durable on the next Flush.
 func (b *FileBackend) Append(rec Record) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return errors.New("store: backend closed")
 	}
 	if b.flushErr != nil {
-		err := b.flushErr
-		b.mu.Unlock()
-		return err
+		return b.flushErr
 	}
-	if b.opts.GroupCommit {
-		var err error
-		b.buf, err = appendFramed(b.buf, rec)
-		b.mu.Unlock()
-		if err == nil {
-			smAppends.Inc()
-		}
-		return err
+	var err error
+	b.buf, err = appendFramed(b.buf, rec)
+	if err == nil {
+		smAppends.Inc()
 	}
-	b.mu.Unlock()
-
-	// Immediate mode: the write and sync syscalls run under flushMu, the
-	// I/O serialization lock, so the state lock is never held across disk
-	// I/O (readers of off/gen are not stalled behind an fsync). flushMu
-	// also orders immediate appends against segment rotation.
-	buf, err := appendFramed(nil, rec)
-	if err != nil {
-		return err
-	}
-	b.flushMu.Lock()
-	defer b.flushMu.Unlock()
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return errors.New("store: backend closed")
-	}
-	wal, off := b.wal, b.off
-	b.mu.Unlock()
-	if _, err := wal.WriteAt(buf, off); err != nil {
-		return fmt.Errorf("store: appending WAL record: %w", err)
-	}
-	if b.opts.Fsync {
-		start := obs.StartTimer()
-		err := wal.Sync()
-		smFsyncNs.ObserveSince(start)
-		if err != nil {
-			return fmt.Errorf("store: syncing WAL: %w", err)
-		}
-	}
-	b.mu.Lock()
-	b.off = off + int64(len(buf))
-	b.mu.Unlock()
-	smAppends.Inc()
-	return nil
+	return err
 }
 
 // Flush implements Backend: it writes the batched records in one write
-// syscall and (with Fsync) one fdatasync. Concurrent callers coalesce —
+// syscall and (with fsync) one fdatasync. Concurrent callers coalesce —
 // whoever wins the flush lock carries every record buffered so far, and
 // the others observe an empty buffer and return.
 func (b *FileBackend) Flush() error {
-	if !b.opts.GroupCommit {
-		return nil // immediate mode: Append already persisted everything
-	}
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
 	return b.flushLocked()
@@ -513,7 +429,7 @@ func (b *FileBackend) flushLocked() error {
 	b.mu.Unlock()
 
 	start := obs.StartTimer()
-	err := writeBatch(wal, batch, off, &preallocEnd, b.opts.Fsync)
+	err := writeBatch(wal, batch, off, &preallocEnd, b.fsync)
 	smFlushNs.ObserveSince(start)
 	smBatchBytes.Observe(int64(len(batch)))
 	smFlushes.Inc()
@@ -571,16 +487,14 @@ func writeBatch(wal *os.File, batch []byte, off int64, preallocEnd *int64, sync 
 }
 
 // WriteSnapshot implements Backend. See the layout comment for the
-// crash-safe ordering. In group-commit mode the pending batch is flushed
-// into the outgoing segment first, so the rotation never drops a record
-// that is not covered by the new snapshot.
+// crash-safe ordering. The pending batch is flushed into the outgoing
+// segment first, so the rotation never drops a record that is not covered
+// by the new snapshot.
 func (b *FileBackend) WriteSnapshot(state []byte) error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
-	if b.opts.GroupCommit {
-		if err := b.flushLocked(); err != nil {
-			return err
-		}
+	if err := b.flushLocked(); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	if b.closed {
@@ -591,10 +505,9 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 	b.mu.Unlock()
 
 	// The heavy I/O — snapshot write, segment creation, syncs — runs with
-	// only flushMu held. Appenders keep making progress: group-commit
-	// appends buffer under the state lock, and immediate-mode appends
-	// queue on flushMu exactly as they would behind a flush.
-	if err := writeSnapshotFile(filepath.Join(b.dir, snapName(next)), state, b.opts.Fsync); err != nil {
+	// only flushMu held. Appenders keep making progress: they buffer under
+	// the state lock.
+	if err := writeSnapshotFile(filepath.Join(b.dir, snapName(next)), state, b.fsync); err != nil {
 		return fmt.Errorf("store: writing snapshot %d: %w", next, err)
 	}
 	// O_TRUNC: the segment must start empty even if a file of that name
@@ -608,7 +521,7 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 		_ = wal.Close()
 		return err
 	}
-	if b.opts.Fsync {
+	if b.fsync {
 		if err := wal.Sync(); err != nil {
 			_ = wal.Close()
 			return err
@@ -633,19 +546,12 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 	return nil
 }
 
-// Close implements Backend: it stops the background flusher, flushes the
-// pending batch, trims preallocated padding and closes the segment.
+// Close implements Backend: it flushes the pending batch, trims
+// preallocated padding and closes the segment.
 func (b *FileBackend) Close() error {
-	if b.flushStop != nil {
-		b.stopOnce.Do(func() { close(b.flushStop) })
-		<-b.flushDone
-	}
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
-	var flushErr error
-	if b.opts.GroupCommit {
-		flushErr = b.flushLocked() // still close below; error propagated after
-	}
+	flushErr := b.flushLocked() // still close below; error propagated after
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -662,7 +568,7 @@ func (b *FileBackend) Close() error {
 		// its last record, so only a crash leaves padding for recovery.
 		_ = wal.Truncate(off)
 	}
-	if b.opts.Fsync {
+	if b.fsync {
 		_ = wal.Sync()
 	}
 	if err := wal.Close(); err != nil {
@@ -727,7 +633,7 @@ func RollbackWAL(dir string, drop int) (int, error) {
 	}
 	// Record boundaries come from the same scanner recovery uses, so the
 	// attack tool and recovery can never disagree about what counts as a
-	// record (zero-filled group-commit padding, torn tails, bit rot).
+	// record (zero-filled preallocation padding, torn tails, bit rot).
 	_, offsets := scanRecords(data, false)
 	total := len(offsets) - 1
 	keep := total - drop

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"faust/internal/wire"
 )
@@ -13,7 +12,7 @@ import (
 // appendN opens dir, appends n records (T = 0..n-1) and closes again.
 func appendN(t *testing.T, dir string, n int) {
 	t.Helper()
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func appendN(t *testing.T, dir string, n int) {
 // loadTail opens dir and returns the recovered snapshot and tail.
 func loadTail(t *testing.T, dir string) ([]byte, []Record) {
 	t.Helper()
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir, false)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -101,7 +100,7 @@ func TestCrashTornTailTruncatedForAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestCrashCorruptRecordDropsTail(t *testing.T) {
 // take the store down — recovery falls back to the previous generation.
 func TestCrashTornSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestCrashTornSnapshotFallsBack(t *testing.T) {
 // and recovery needs only the new baseline.
 func TestSnapshotRotationReclaimsLog(t *testing.T) {
 	dir := t.TempDir()
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +245,14 @@ func TestRollbackWAL(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBackendContract runs the generic Backend contract against
-// the group-commit configuration: buffering must be invisible through the
-// Append/Flush/Close/Load API.
-func TestGroupCommitBackendContract(t *testing.T) {
+// fileBackendContract runs the generic Backend contract against a
+// FileBackend: buffering must be invisible through the
+// Append/Flush/WriteSnapshot/Close/Load API.
+func fileBackendContract(t *testing.T, fsync bool) {
+	t.Helper()
 	dir := t.TempDir()
 	backendContract(t, func(t *testing.T) Backend {
-		b, err := OpenFile(dir, FileOptions{Fsync: true, GroupCommit: true})
+		b, err := OpenFile(dir, fsync)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -260,14 +260,23 @@ func TestGroupCommitBackendContract(t *testing.T) {
 	})
 }
 
-// TestGroupCommitCrashRecovery simulates a crash of a group-commit backend
-// (no Close, so the segment keeps its preallocated zero padding) and
-// checks that recovery keeps exactly the flushed records, drops the
-// padding, and that RollbackWAL counts only real records on the padded
-// file.
+// TestFileBackendContract runs the Backend contract with fsync off.
+func TestFileBackendContract(t *testing.T) { fileBackendContract(t, false) }
+
+// TestGroupCommitBackendContract runs the Backend contract with fsync on:
+// buffered appends made durable by one fsync'd Flush per batch, the
+// configuration the former group-commit option selected and now the
+// FileBackend's only buffered mode with fsync.
+func TestGroupCommitBackendContract(t *testing.T) { fileBackendContract(t, true) }
+
+// TestGroupCommitCrashRecovery simulates a crash of a backend holding
+// flushed and buffered records (no Close, so the segment keeps its
+// preallocated zero padding) and checks that recovery keeps exactly the
+// flushed records, drops the padding, and that RollbackWAL counts only
+// real records on the padded file.
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	b, err := OpenFile(dir, FileOptions{Fsync: true, GroupCommit: true})
+	b, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,40 +319,10 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBackgroundFlush checks that the interval flusher makes a
-// lingering buffered record durable without any explicit Flush.
-func TestGroupCommitBackgroundFlush(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenFile(dir, FileOptions{GroupCommit: true, FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if _, _, err := b.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Append(submitRecord(0, 7)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		data, err := os.ReadFile(walPath(t, dir))
-		if err == nil && len(data) >= len(walMagic) && string(data[:len(walMagic)]) == walMagic {
-			if recs, _ := scanRecords(data, true); len(recs) == 1 && recs[0].Msg.(*wire.Submit).T == 7 {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher did not persist the buffered record")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestFsyncModeWorks smoke-tests the fsync path end to end.
 func TestFsyncModeWorks(t *testing.T) {
 	dir := t.TempDir()
-	b, err := OpenFile(dir, FileOptions{Fsync: true})
+	b, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

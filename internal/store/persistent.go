@@ -30,19 +30,17 @@ type Options struct {
 
 // Persistent wraps a Core with write-ahead logging: every SUBMIT and
 // COMMIT is appended to the backend before it is applied, so the applied
-// state never runs ahead of the log. It implements transport.ServerCore
+// state never runs ahead of the log. It implements transport.BatchCore
 // and drops in wherever a plain server is served.
 //
-// Durability points follow the replies. A SUBMIT's record — and, by log
-// order, every record buffered before it — is flushed before its REPLY is
-// returned, so no client ever observes an operation that recovery cannot
-// replay. COMMIT messages have no reply, so their records may stay in the
-// group-commit buffer until the next SUBMIT, snapshot or background flush
-// picks them up. A crash inside that window loses the commit — the same
-// outcome as a crash between receipt and logging, which immediate mode
-// has too, just over a wider (flush-interval-bounded) window. Losing a
-// commit is fail-safe, not silent: the committing client's next operation
-// sees a server version behind its own and reports the server faulty
+// An operation is durable when the dispatcher batch that applied it ends:
+// the dispatcher calls FlushBatch once per batch that touched this core,
+// whether with SUBMITs or COMMITs, and withholds the batch's REPLYs until
+// the flush succeeds. No client therefore observes an operation recovery
+// cannot replay, and a COMMIT reaches the disk when its own batch ends,
+// not when some later SUBMIT happens to flush. A COMMIT lost to a crash
+// before that point is lost like one still in flight on the link: the
+// committing client's next operation reports the server faulty
 // (Algorithm 1 line 36) instead of accepting the rollback.
 //
 // If the backend ever fails to append or flush, the server stops replying
@@ -109,52 +107,22 @@ func (p *Persistent) N() int {
 	return -1
 }
 
-// HandleSubmit implements transport.ServerCore: log, apply, and flush the
-// group-commit batch before the reply escapes — one sync then covers this
-// SUBMIT plus every record buffered ahead of it. The flush runs outside
-// p.mu: the backend orders and coalesces concurrent flushes itself, so
-// submitters arriving while a sync is in flight append behind it and
-// share the next one instead of serializing on the wrapper lock.
+// HandleSubmit implements transport.ServerCore: HandleSubmitBuffered
+// followed by FlushBatch, so the reply never escapes before its record is
+// durable.
 func (p *Persistent) HandleSubmit(ctx context.Context, from int, s *wire.Submit) *wire.Reply {
-	p.mu.Lock()
-	if p.broken != nil {
-		p.mu.Unlock()
-		return nil
-	}
-	_, ha := trace.Child(ctx, "wal.append")
-	err := p.backend.Append(Record{From: from, Msg: s})
-	ha.End()
-	if err != nil {
-		p.broken = err
-		p.mu.Unlock()
-		return nil
-	}
-	reply := p.core.HandleSubmit(ctx, from, s)
-	p.bumpLocked()
-	broken := p.broken != nil // snapshot rotation failed: stay silent
-	p.mu.Unlock()
-	if broken {
-		return nil
-	}
-	_, hf := trace.Child(ctx, "wal.fsync")
-	err = p.backend.Flush()
-	hf.End()
-	if err != nil {
-		p.mu.Lock()
-		p.broken = err
-		p.mu.Unlock()
+	reply := p.HandleSubmitBuffered(ctx, from, s)
+	if err := p.FlushBatch(); err != nil {
 		return nil
 	}
 	return reply
 }
 
-// HandleSubmitBuffered is the batch-pipeline variant of HandleSubmit: it
-// logs and applies the SUBMIT but leaves the backend flush to a later
-// FlushBatch call, so a whole dispatcher batch shares one fsync. The
-// caller (the transport's batched dispatcher) MUST withhold the returned
-// reply until FlushBatch succeeds — the durability contract is unchanged,
-// only the flush is amortized. A nil reply means this op must not be
-// acknowledged regardless of the flush outcome.
+// HandleSubmitBuffered implements transport.BatchCore: it logs and applies
+// the SUBMIT but leaves the backend flush to a later FlushBatch call, so a
+// whole dispatcher batch shares one fsync. The caller MUST withhold the
+// returned reply until FlushBatch succeeds. A nil reply means this op must
+// not be acknowledged regardless of the flush outcome.
 func (p *Persistent) HandleSubmitBuffered(ctx context.Context, from int, s *wire.Submit) *wire.Reply {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -176,10 +144,10 @@ func (p *Persistent) HandleSubmitBuffered(ctx context.Context, from int, s *wire
 	return reply
 }
 
-// FlushBatch syncs every record buffered by HandleSubmitBuffered calls
-// since the last flush. On failure the wrapper goes sticky-broken exactly
-// as a per-op flush failure would, and the caller must suppress every
-// reply the failed batch produced.
+// FlushBatch implements transport.BatchCore: it makes every record logged
+// since the last flush durable, SUBMITs and COMMITs alike. On failure the
+// wrapper goes sticky-broken, and the caller must suppress every reply
+// the failed batch produced.
 func (p *Persistent) FlushBatch() error {
 	p.mu.Lock()
 	if p.broken != nil {
@@ -188,8 +156,9 @@ func (p *Persistent) FlushBatch() error {
 		return err
 	}
 	p.mu.Unlock()
-	// Flush outside p.mu, mirroring HandleSubmit: the backend coalesces
-	// concurrent flushes itself.
+	// Flush outside p.mu: the backend coalesces concurrent flushes itself,
+	// so appends arriving while a sync is in flight buffer behind it
+	// instead of serializing on the wrapper lock.
 	if err := p.backend.Flush(); err != nil {
 		p.mu.Lock()
 		p.broken = err
@@ -199,7 +168,9 @@ func (p *Persistent) FlushBatch() error {
 	return nil
 }
 
-// HandleCommit implements transport.ServerCore: log, then apply.
+// HandleCommit implements transport.ServerCore: log, then apply. The
+// record becomes durable at the next FlushBatch, which the dispatcher
+// issues when the COMMIT's batch ends.
 func (p *Persistent) HandleCommit(ctx context.Context, from int, c *wire.Commit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

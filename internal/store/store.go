@@ -81,26 +81,24 @@ func DecodeRecord(data []byte) (Record, error) {
 
 // Backend persists server state as a snapshot plus a log tail. The
 // Persistent wrapper drives it with WAL discipline: Load once on open,
-// Append before every state change, Flush before any reply escapes,
-// WriteSnapshot periodically.
+// Append before every state change, Flush at the end of every dispatcher
+// batch (before any of the batch's replies escape), WriteSnapshot
+// periodically.
 //
-// Implementations must be safe for concurrent Append/Flush calls: the
-// group-commit FileBackend coalesces appends from concurrent callers into
-// a single write + sync.
+// Implementations must be safe for concurrent Append/Flush calls.
 type Backend interface {
 	// Load returns the recovery baseline: the newest valid snapshot (nil
 	// if none was ever written) and the log records appended after it, in
 	// order. Called once, before any Append or WriteSnapshot.
 	Load() (snapshot []byte, tail []Record, err error)
-	// Append logs one record. Immediate-mode backends make it durable
-	// before returning; group-commit backends may buffer, in which case
-	// the record is durable only after the next Flush. Either way the
-	// record's position in the log equals its Append order.
+	// Append logs one record. It may only buffer it: the record is
+	// durable after the next Flush. The record's position in the log
+	// equals its Append order.
 	Append(rec Record) error
 	// Flush makes every record appended so far durable (to the degree the
 	// backend is configured for — process-crash or power-loss). It must
 	// not return before that point; concurrent Flush calls may coalesce
-	// into one sync. A no-op for immediate-mode backends.
+	// into one sync.
 	Flush() error
 	// WriteSnapshot atomically replaces the recovery baseline: after it
 	// returns, a Load observes state with an empty tail, and log records

@@ -3,8 +3,14 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"faust/internal/crypto"
 	"faust/internal/transport"
@@ -118,17 +124,6 @@ func TestMemBackendContract(t *testing.T) {
 	backendContract(t, func(t *testing.T) Backend { return b })
 }
 
-func TestFileBackendContract(t *testing.T) {
-	dir := t.TempDir()
-	backendContract(t, func(t *testing.T) Backend {
-		b, err := OpenFile(dir, FileOptions{})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		return b
-	})
-}
-
 // TestPersistentRecoversExactState drives a real USTOR cluster through a
 // persistent server, simulates a restart by handing the same MemBackend to
 // a fresh server, and requires bit-identical state.
@@ -192,7 +187,7 @@ func TestPersistentRecoversExactState(t *testing.T) {
 }
 
 // TestGroupCommitPersistentClusterRecovery drives a real cluster through a
-// group-commit FileBackend, simulates a crash (no Close — the segment
+// fsync'd FileBackend, simulates a crash (no Close — the segment
 // keeps its preallocated padding), recovers into a fresh server and
 // requires bit-identical state plus failure-free continued operation by
 // the rebound clients.
@@ -200,7 +195,7 @@ func TestGroupCommitPersistentClusterRecovery(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
 	ring, signers := crypto.NewTestKeyring(n, 52)
-	backend, err := OpenFile(dir, FileOptions{Fsync: true, GroupCommit: true})
+	backend, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +218,14 @@ func TestGroupCommitPersistentClusterRecovery(t *testing.T) {
 			}
 		}
 	}
-	nw.Stop() // quiesce: all handler calls done
-	// Flush the trailing COMMITs so the crash point is a flushed state and
-	// recovery must be bit-exact (an unflushed trailing commit would be
-	// lost fail-safely instead — see the Persistent docs).
-	if err := backend.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	// Quiesce: all handler calls are done, and every batch, including the
+	// one that applied the trailing COMMITs, has flushed — so recovery
+	// must be bit-exact without any explicit Flush.
+	nw.Stop()
 	want := ps.ExportState()
 
 	// Crash: abandon ps/backend without Close and recover from disk.
-	backend2, err := OpenFile(dir, FileOptions{Fsync: true, GroupCommit: true})
+	backend2, err := OpenFile(dir, true)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -260,6 +252,138 @@ func TestGroupCommitPersistentClusterRecovery(t *testing.T) {
 		if failed, reason := c.Failed(); failed {
 			t.Fatalf("client %d failed against recovered server: %v", i, reason)
 		}
+	}
+}
+
+// crashImageBackend is a FileBackend that copies its directory into
+// image at the first Flush completing after a COMMIT was appended: the
+// data directory of a server that crashed right after that flush, taken
+// without Close.
+type crashImageBackend struct {
+	*FileBackend
+	image string
+
+	mu     sync.Mutex
+	armed  bool
+	copied chan struct{}
+	err    error
+}
+
+func (b *crashImageBackend) Append(rec Record) error {
+	err := b.FileBackend.Append(rec)
+	if _, ok := rec.Msg.(*wire.Commit); ok && err == nil {
+		b.mu.Lock()
+		b.armed = true
+		b.mu.Unlock()
+	}
+	return err
+}
+
+func (b *crashImageBackend) Flush() error {
+	err := b.FileBackend.Flush()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.armed && b.copied != nil {
+		b.err = copyDir(b.Dir(), b.image)
+		close(b.copied)
+		b.copied = nil
+	}
+	return err
+}
+
+func copyDir(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLoneCommitDurableAtBatchEnd crashes an fsync'd server right after
+// the flush that follows a client's COMMIT — the COMMIT travels alone,
+// with no later SUBMIT to flush it — and recovers a fresh server from that
+// image. An honest crash after the COMMIT's batch ended must not look
+// like a rollback: the rebound client's next write and read succeed with
+// no fail notification and no DetectionError.
+func TestLoneCommitDurableAtBatchEnd(t *testing.T) {
+	const n = 2
+	dir, image := t.TempDir(), t.TempDir()
+	ring, signers := crypto.NewTestKeyring(n, 53)
+	fb, err := OpenFile(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fb.Close() })
+	copied := make(chan struct{})
+	backend := &crashImageBackend{FileBackend: fb, image: image, copied: copied}
+	ps, err := Open(ustor.NewServer(n), backend, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := transport.NewNetwork(n, ps)
+	var fails atomic.Int32
+	client := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0),
+		ustor.WithFailHandler(func(error) { fails.Add(1) }))
+	if err := client.Write([]byte("before-crash")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-copied:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no WAL flush followed the lone COMMIT: it exists only in memory")
+	}
+	nw.Stop()
+	backend.mu.Lock()
+	err = backend.err
+	backend.mu.Unlock()
+	if err != nil {
+		t.Fatalf("copying the crash image: %v", err)
+	}
+
+	fb2, err := OpenFile(image, true)
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	t.Cleanup(func() { _ = fb2.Close() })
+	ps2, err := Open(ustor.NewServer(n), fb2, Options{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	nw2 := transport.NewNetwork(n, ps2)
+	defer nw2.Stop()
+	client.Rebind(nw2.ClientLink(0))
+
+	var det *ustor.DetectionError
+	if err := client.Write([]byte("after-crash")); err != nil {
+		if errors.As(err, &det) {
+			t.Fatalf("honest crash reported as a faulty server: %v", err)
+		}
+		t.Fatalf("post-recovery write: %v", err)
+	}
+	v, err := client.Read(0)
+	if err != nil {
+		if errors.As(err, &det) {
+			t.Fatalf("honest crash reported as a faulty server: %v", err)
+		}
+		t.Fatalf("post-recovery read: %v", err)
+	}
+	if string(v) != "after-crash" {
+		t.Fatalf("read %q, want %q", v, "after-crash")
+	}
+	if got := fails.Load(); got != 0 {
+		t.Fatalf("%d fail notifications against an honestly recovered server", got)
 	}
 }
 

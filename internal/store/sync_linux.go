@@ -11,7 +11,7 @@ import (
 // datasync flushes a file's data (and only the metadata needed to read it
 // back, e.g. size changes) with fdatasync. Combined with segment
 // preallocation this skips the inode timestamp writes a full fsync pays on
-// every group-commit flush.
+// every WAL flush.
 func datasync(f *os.File) error {
 	for {
 		err := syscall.Fdatasync(int(f.Fd()))

@@ -25,15 +25,14 @@ import (
 //	apply     verified ops run sequentially against the single-writer
 //	          core, exactly as the paper's atomic handlers require; cores
 //	          implementing BatchCore buffer their WAL appends
-//	flush     each touched BatchCore makes the whole batch durable with
-//	          one fsync instead of one per op
+//	flush     each BatchCore the batch touched, by a SUBMIT or a COMMIT,
+//	          makes the whole batch durable with one fsync
 //	reply     replies coalesce into one framed write per destination
 //
-// A batch of one skips the machinery entirely (dispatchOne), so idle or
-// low-concurrency deployments keep the pre-batching latency profile.
-// Batches never reorder: ops apply in arrival order and per-client reply
-// order is preserved, so the reliable-FIFO contract the protocol assumes
-// is untouched.
+// Every batch takes these stages, a batch of one included, so the end of
+// a batch is the only point where the WAL flushes. Batches never reorder:
+// ops apply in arrival order and per-client reply order is preserved, so
+// the reliable-FIFO contract the protocol assumes is untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
 // transport was not configured otherwise. Large enough to amortize fsync
@@ -57,12 +56,10 @@ type batchSink interface {
 	sinkName() string
 	// countOp accounts one dispatched envelope (per-tenant op counters).
 	countOp()
-	// sendReply delivers one reply to client `to`; sendReplies delivers a
-	// batch's replies for `to` in order, coalesced into as few transport
-	// writes as possible. Delivery failures are the destination's problem
-	// (dead connection, closed outbox) — the dispatcher never blocks on
-	// them.
-	sendReply(to int, m wire.Message)
+	// sendReplies delivers a batch's replies for client `to` in order,
+	// coalesced into as few transport writes as possible. Delivery
+	// failures are the destination's problem (dead connection, closed
+	// outbox) — the dispatcher never blocks on them.
 	sendReplies(to int, msgs []wire.Message)
 	// dropUnknown accounts a message kind the core cannot handle.
 	dropUnknown()
@@ -70,12 +67,12 @@ type batchSink interface {
 
 // BatchCore is an optional ServerCore extension for cores whose
 // durability barrier can cover many operations at once. The dispatcher
-// applies a batch's ops through HandleSubmitBuffered — append and apply,
-// no flush — and calls FlushBatch once per batch; replies are withheld
-// until the flush succeeds, so the "no client observes an operation
-// recovery cannot replay" invariant of store.Persistent holds unchanged,
-// at one fsync per batch instead of one per op. store.Persistent
-// implements it structurally.
+// applies a batch's SUBMITs through HandleSubmitBuffered — append and
+// apply, no flush — and its COMMITs through HandleCommit, then calls
+// FlushBatch once for every batch that touched the core. Replies are
+// withheld until the flush succeeds, so no client observes an operation
+// recovery cannot replay, and a COMMIT is durable when its batch ends.
+// store.Persistent implements it structurally.
 type BatchCore interface {
 	ServerCore
 	HandleSubmitBuffered(ctx context.Context, from int, s *wire.Submit) *wire.Reply
@@ -89,8 +86,9 @@ const (
 )
 
 // batchOp is the pipeline's per-SUBMIT state across stages. Ops stay
-// index-aligned with their batch envelopes; COMMIT and generic messages
-// leave their slot zeroed apart from done-keeping.
+// index-aligned with their batch envelopes; a COMMIT records only the
+// BatchCore it touched, and generic messages leave their slot zeroed
+// apart from done-keeping.
 type batchOp struct {
 	ctx      context.Context
 	h        trace.Handle
@@ -133,11 +131,7 @@ func dispatchBatches(q *fifo[envelope], maxBatch int) {
 			continue
 		}
 		observeBatchSize(batch)
-		if len(batch) == 1 {
-			dispatchOne(&batch[0], sc)
-		} else {
-			runBatch(batch, sc)
-		}
+		runBatch(batch, sc)
 	}
 }
 
@@ -168,64 +162,8 @@ func rejectSubmit(sink batchSink, from int) {
 	obs.Default().Events().Record(obs.EventSubmitReject, from, sink.sinkName(), submitRejectDetail)
 }
 
-// verifySubmit checks one SUBMIT inline (fast path): the sender must
-// claim its own identity — otherwise a replayed honest SUBMIT would
-// verify under the victim's key — and the signature must cover exactly
-// the payload the client signed.
-func verifySubmit(ring *crypto.Keyring, from int, m *wire.Submit, sc *dispatchScratch) bool {
-	if m.Inv.Client != from {
-		return false
-	}
-	sc.payload = wire.AppendSubmitPayload(sc.payload[:0], m.Inv.Op, m.Inv.Reg, m.T, m.Inv.Trace)
-	return ring.Verify(from, m.Inv.SubmitSig, crypto.DomainSubmit, sc.payload)
-}
-
-// dispatchOne is the batch-of-one fast path: the pre-batching dispatch
-// body, plus the optional inline signature check. No buffered apply, no
-// batch flush — a persistent core takes its usual append-apply-fsync
-// route through HandleSubmit, so low-concurrency latency is unchanged.
-func dispatchOne(e *envelope, sc *dispatchScratch) {
-	e.sink.countOp()
-	switch m := e.msg.(type) {
-	case *wire.Submit:
-		ctx, h := joinWireTrace(context.Background(), m.Inv.Trace, true, spanSrvSubmit)
-		trace.Event(ctx, spanQueue, e.enq)
-		start := obs.StartTimer()
-		if ring := e.sink.sinkRing(); ring != nil {
-			var vstart time.Time
-			if trace.Enabled() {
-				vstart = time.Now()
-			}
-			ok := verifySubmit(ring, e.from, m, sc)
-			trace.Event(ctx, spanVerify, vstart)
-			if !ok {
-				rejectSubmit(e.sink, e.from)
-				tmSubmitNs.ObserveSinceExemplar(start, exemplarID(m.Inv.Trace))
-				h.End()
-				return
-			}
-		}
-		reply := e.sink.sinkCore().HandleSubmit(ctx, e.from, m)
-		tmSubmitNs.ObserveSinceExemplar(start, exemplarID(m.Inv.Trace))
-		h.End()
-		if reply != nil {
-			e.sink.sendReply(e.from, reply)
-		}
-	case *wire.Commit:
-		start := obs.StartTimer()
-		e.sink.sinkCore().HandleCommit(context.Background(), e.from, m)
-		tmCommitNs.ObserveSince(start)
-	default:
-		if gc, ok := e.sink.sinkCore().(GenericCore); ok {
-			gc.HandleMessage(e.from, e.msg)
-			return
-		}
-		e.sink.dropUnknown()
-	}
-}
-
-// runBatch pipelines a drained batch of two or more envelopes through
-// verify, apply, flush and coalesced reply.
+// runBatch pipelines a drained batch through verify, apply, flush and
+// coalesced reply.
 //
 //faustlint:hotpath
 func runBatch(batch []envelope, sc *dispatchScratch) {
@@ -286,10 +224,11 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 	}
 
 	// Stage 3 — apply in arrival order. SUBMITs against a BatchCore
-	// buffer their WAL append; everything else behaves as on the fast
-	// path. A message kind with server-push semantics (GenericCore) is a
-	// barrier: the prefix must flush and reply first, or its handler
-	// could push messages that overtake replies owed to the same client.
+	// buffer their WAL append, and a COMMIT marks its BatchCore for the
+	// batch flush. A message kind with server-push semantics
+	// (GenericCore) is a barrier: the prefix must flush and reply first,
+	// or its handler could push messages that overtake replies owed to
+	// the same client.
 	for i := range batch {
 		e := &batch[i]
 		op := &ops[i]
@@ -307,38 +246,34 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 			}
 		case *wire.Commit:
 			start := obs.StartTimer()
-			e.sink.sinkCore().HandleCommit(context.Background(), e.from, m)
+			core := e.sink.sinkCore()
+			core.HandleCommit(context.Background(), e.from, m)
 			tmCommitNs.ObserveSince(start)
+			if bc, ok := core.(BatchCore); ok {
+				op.bc = bc
+			}
 		default:
-			flushAndSend(batch[:i], ops[:i], sc)
-			if gc, ok := e.sink.sinkCore().(GenericCore); ok {
-				gc.HandleMessage(e.from, e.msg)
+			gc, ok := e.sink.sinkCore().(GenericCore)
+			if !ok {
+				e.sink.dropUnknown()
 				continue
 			}
-			e.sink.dropUnknown()
+			flushAndSend(batch[:i], ops[:i], sc)
+			gc.HandleMessage(e.from, e.msg)
 		}
 	}
 
 	// Stages 4+5 — flush every touched BatchCore once, then send the
 	// batch's replies coalesced per destination.
 	flushAndSend(batch, ops, sc)
-
-	for i := range ops {
-		op := &ops[i]
-		if !op.isSubmit {
-			continue
-		}
-		tmSubmitNs.ObserveSinceExemplar(op.start, op.tid)
-		op.h.End()
-	}
 }
 
 // flushAndSend settles every not-yet-done op in the prefix: batch-flush
 // the distinct BatchCores touched (suppressing replies of a core whose
-// flush failed — its clients must observe silence, exactly like the
-// sticky-broken single-op path), then deliver replies grouped by
-// destination in arrival order. Idempotent per op via the done flag, so
-// the mid-batch barrier and the final call compose.
+// flush failed — its clients must observe silence, exactly as from a
+// sticky-broken core), end the SUBMITs' spans, then deliver replies
+// grouped by destination in arrival order. Idempotent per op via the done
+// flag, so the mid-batch barrier and the final call compose.
 //
 //faustlint:hotpath
 func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
@@ -383,7 +318,19 @@ func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
 					break
 				}
 			}
-			trace.Event(op.ctx, spanBatchFlush, fstart)
+			if op.isSubmit {
+				trace.Event(op.ctx, spanWALFsync, fstart)
+			}
+		}
+	}
+
+	// Close each SUBMIT's server span before any reply leaves: a client
+	// holding its reply must find the server half of its trace complete.
+	for i := range ops {
+		op := &ops[i]
+		if !op.done && op.isSubmit {
+			tmSubmitNs.ObserveSinceExemplar(op.start, op.tid)
+			op.h.End()
 		}
 	}
 

@@ -125,7 +125,8 @@ func mustRecvReply(t *testing.T, link Link, wantC int) {
 
 // TestMemoryBatchGroupApply parks the dispatcher in the first op's
 // handler, queues nine more, and requires the release to drain them as
-// ONE batch: nine buffered applies, one flush, replies in FIFO order.
+// ONE batch: every op buffered (the first as a batch of one), one flush
+// per batch, replies in FIFO order.
 func TestMemoryBatchGroupApply(t *testing.T) {
 	core := &batchRecCore{}
 	core.arm()
@@ -150,11 +151,11 @@ func TestMemoryBatchGroupApply(t *testing.T) {
 
 	core.mu.Lock()
 	defer core.mu.Unlock()
-	if core.buffered != 9 {
-		t.Fatalf("buffered applies = %d, want 9 (one batch)", core.buffered)
+	if core.buffered != 10 {
+		t.Fatalf("buffered applies = %d, want 10", core.buffered)
 	}
-	if core.flushes != 1 {
-		t.Fatalf("flushes = %d, want 1 (amortized)", core.flushes)
+	if core.flushes != 2 {
+		t.Fatalf("flushes = %d, want 2 (the lone first op, then one for the nine)", core.flushes)
 	}
 	for i, op := range core.applied {
 		if op[1] != i {
@@ -214,15 +215,14 @@ func TestBatchFlushFailureSuppressesReplies(t *testing.T) {
 	}
 	close(core.gate)
 
-	// The first op took the fast path (plain HandleSubmit, no batch
-	// flush), so its reply arrives; the batched four must be silent.
-	mustRecvReply(t, link, 0)
+	// The first op is a batch of one and the other four a second batch;
+	// both flushes fail, so all five replies are withheld.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		core.mu.Lock()
 		f := core.flushes
 		core.mu.Unlock()
-		if f >= 1 {
+		if f >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -289,8 +289,8 @@ func TestBatchForgedSignatureMidBatch(t *testing.T) {
 		t.Fatalf("verify rejects = %d, want 2", d)
 	}
 
-	// The fast path (batch of one) must reject the same way: a lone
-	// forged op is silent, the valid op after it still replies.
+	// A lone forged op must be rejected the same way: it is silent, and
+	// the valid op after it still replies.
 	bad := signedSubmit(signers[0], 0, 100)
 	bad.Inv.SubmitSig[0] ^= 0xff
 	if err := link.Send(bad); err != nil {
@@ -301,7 +301,27 @@ func TestBatchForgedSignatureMidBatch(t *testing.T) {
 	}
 	mustRecvReply(t, link, 101)
 	if d := tmVerifyRejects.Value() - rejectsBefore; d != 3 {
-		t.Fatalf("verify rejects after fast-path forgery = %d, want 3", d)
+		t.Fatalf("verify rejects after the lone forgery = %d, want 3", d)
+	}
+}
+
+// TestBatchCommitAloneFlushes: a batch holding only a COMMIT flushes its
+// BatchCore exactly once, so a lone COMMIT is durable when its batch ends
+// instead of waiting for a later SUBMIT's flush.
+func TestBatchCommitAloneFlushes(t *testing.T) {
+	core := &batchRecCore{}
+	nw := NewNetwork(1, core)
+	if err := nw.ClientLink(0).Send(&wire.Commit{}); err != nil {
+		t.Fatal(err)
+	}
+	nw.Stop() // drains the inbox: the COMMIT's batch has run when Stop returns
+	core.mu.Lock()
+	defer core.mu.Unlock()
+	if core.commits != 1 {
+		t.Fatalf("commits applied = %d, want 1", core.commits)
+	}
+	if core.flushes != 1 {
+		t.Fatalf("flushes = %d after a lone COMMIT, want 1", core.flushes)
 	}
 }
 

@@ -77,8 +77,8 @@ func WithVerifier(ring *crypto.Keyring) Option {
 }
 
 // WithMaxBatch caps how many queued messages the dispatcher drains per
-// batch (default DefaultMaxBatch). 1 disables batching — every op takes
-// the fast path — which is the ablation baseline of the E22 experiment.
+// batch (default DefaultMaxBatch). 1 makes every op its own batch, with
+// its own WAL flush — the ablation baseline of the E22 experiment.
 func WithMaxBatch(n int) Option {
 	return func(nw *Network) { nw.maxBatch = n }
 }
@@ -188,16 +188,6 @@ func (nw *Network) sinkRing() *crypto.Keyring { return nw.ring }
 func (nw *Network) sinkName() string          { return "" }
 func (nw *Network) countOp()                  {}
 func (nw *Network) dropUnknown()              { nw.dropped.Add(1) }
-func (nw *Network) sendReply(to int, m wire.Message) {
-	if nw.metrics {
-		atomic.AddInt64(&nw.stats.ServerToClientMsgs, 1)
-		atomic.AddInt64(&nw.stats.ServerToClientBytes, int64(wire.EncodedSize(m)))
-	}
-	if err := nw.outboxes[to].push(m); err != nil {
-		nw.dropped.Add(1)
-	}
-}
-
 func (nw *Network) sendReplies(to int, msgs []wire.Message) {
 	if nw.metrics {
 		atomic.AddInt64(&nw.stats.ServerToClientMsgs, int64(len(msgs)))

@@ -164,7 +164,7 @@ func WithSharedDispatcher() TCPOption {
 }
 
 // WithTCPMaxBatch caps how many queued envelopes a dispatcher drains per
-// batch (default DefaultMaxBatch); 1 disables batching entirely. Wired to
+// batch (default DefaultMaxBatch); 1 makes every op its own batch. Wired to
 // the faust-server -max-batch flag.
 func WithTCPMaxBatch(n int) TCPOption {
 	return func(s *TCPServer) { s.maxBatch = n }
@@ -274,12 +274,11 @@ func (rt *shardRT) push(to int, m wire.Message) error {
 
 // batchSink implementation.
 
-func (rt *shardRT) sinkCore() ServerCore             { return rt.core }
-func (rt *shardRT) sinkRing() *crypto.Keyring        { return rt.ring }
-func (rt *shardRT) sinkName() string                 { return rt.name }
-func (rt *shardRT) countOp()                         { rt.ops.Inc() }
-func (rt *shardRT) dropUnknown()                     {}
-func (rt *shardRT) sendReply(to int, m wire.Message) { _ = rt.push(to, m) }
+func (rt *shardRT) sinkCore() ServerCore      { return rt.core }
+func (rt *shardRT) sinkRing() *crypto.Keyring { return rt.ring }
+func (rt *shardRT) sinkName() string          { return rt.name }
+func (rt *shardRT) countOp()                  { rt.ops.Inc() }
+func (rt *shardRT) dropUnknown()              {}
 
 // sendReplies writes a batch's replies for one client as a single framed
 // write: one connection-lock round and one syscall per destination per

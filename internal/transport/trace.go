@@ -14,15 +14,15 @@ import (
 // Span names used by the transport layer. Static constants: the record
 // path never formats.
 const (
-	spanSrvSubmit  = "srv.submit"
-	spanSrvCommit  = "srv.commit"
-	spanQueue      = "queue"
-	spanVerify     = "verify"
-	spanBatchFlush = "batch.flush"
-	spanBlobPut    = "srv.blob.put"
-	spanBlobGet    = "srv.blob.get"
-	spanBlobRPC    = "blob.rpc"
-	spanRedial     = "blob.redial"
+	spanSrvSubmit = "srv.submit"
+	spanSrvCommit = "srv.commit"
+	spanQueue     = "queue"
+	spanVerify    = "verify"
+	spanWALFsync  = "wal.fsync"
+	spanBlobPut   = "srv.blob.put"
+	spanBlobGet   = "srv.blob.get"
+	spanBlobRPC   = "blob.rpc"
+	spanRedial    = "blob.redial"
 )
 
 // WireTrace renders ctx's trace context in wire form, nil when ctx

@@ -17,7 +17,7 @@ import (
 // recovering whatever state the directory holds.
 func startPersistentTCP(t *testing.T, dir string, n int, opts store.Options) (*transport.TCPServer, *store.Persistent, string) {
 	t.Helper()
-	backend, err := store.OpenFile(dir, store.FileOptions{})
+	backend, err := store.OpenFile(dir, false)
 	if err != nil {
 		t.Fatalf("opening backend: %v", err)
 	}

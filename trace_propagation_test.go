@@ -14,7 +14,6 @@ import (
 	"faust/internal/kv"
 	"faust/internal/obs/trace"
 	"faust/internal/shard"
-	"faust/internal/store"
 	"faust/internal/transport"
 	"faust/internal/ustor"
 )
@@ -155,10 +154,8 @@ func TestTracePropagationTCPWithRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	router, err := shard.NewRouter([]shard.Spec{{Name: "t", N: n, Persist: true}}, shard.Options{
-		BaseDir: t.TempDir(),
-		FileOptions: store.FileOptions{
-			Fsync: true, GroupCommit: true, FlushInterval: time.Millisecond,
-		},
+		BaseDir:    t.TempDir(),
+		Fsync:      true,
 		BlobFleet:  spec,
 		BlobFaults: &blobfleet.FaultPlan{Backend: 0, Config: blobfleet.FaultConfig{Seed: 1, ErrRate: 1}},
 	})
