@@ -631,8 +631,8 @@ func expCrypto() {
 	recordNs("crypto/sign", 2, float64(signT.Nanoseconds()))
 	recordNs("crypto/verify", 2, float64(verifyT.Nanoseconds()))
 	recordNs("crypto/hash-64B", 2, float64(hashT.Nanoseconds()))
-	fmt.Printf("per write op: 4 signs (SUBMIT,DATA,COMMIT,PROOF) ~ %v; per read reply verify: >=2 ~ %v\n",
-		4*signT, 2*verifyT)
+	fmt.Printf("per write op: 3 signs (SUBMIT,DATA,COMMIT) ~ %v; per read reply verify: >=2 ~ %v\n",
+		3*signT, 2*verifyT)
 }
 
 // expPersist measures what durability costs: the same concurrent write
@@ -1582,8 +1582,9 @@ func expFailover() {
 // WAL-logged server (fsync on — the deployment the pipeline exists
 // for), with dispatcher-side signature verification armed,
 // sweeping the drain cap against the client count. Wire-level rather
-// than full-protocol clients on purpose: a full USTOR client performs
-// O(n) PROOF verifications per REPLY, and at 128 clients that
+// than full-protocol clients on purpose: a full USTOR client checks
+// O(n) signatures per REPLY (a SUBMIT-signature and a line-41 proof per
+// concurrent operation), and at 128 clients that
 // client-side crypto saturates a small runner's CPU and masks the
 // server-side pipeline this experiment measures (the full client's
 // latency profile is E20's subject). cap=1 is the ablation: every op is

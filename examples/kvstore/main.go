@@ -144,8 +144,9 @@ func forking() {
 		fmt.Println("bob's first read: key not found (the fork is still invisible)")
 	}
 
-	// ...but the next hidden-then-replayed write has no PROOF-signature
-	// in bob's branch, and bob's kv read detects the fork.
+	// ...but the next hidden-then-replayed write has no commit of alice
+	// in bob's branch to prove its predecessor (the line-41 check), and
+	// bob's kv read detects the fork.
 	must(alice.Put(context.Background(), "report", []byte("Q3 numbers")))
 	must(server.Replay(0, server.CapturedOps(0)-1, 1))
 

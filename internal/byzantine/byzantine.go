@@ -192,8 +192,9 @@ func (c *CrashServer) HandleCommit(ctx context.Context, from int, m *wire.Commit
 
 // DropCommitServer forwards submits to a correct server but discards all
 // COMMIT messages, so the schedule appears to contain only uncommitted
-// operations. Clients detect this on their next operations (missing
-// PROOF-signatures, or their own operation listed as concurrent).
+// operations. Clients detect this on their next operations (no commit
+// proving a concurrent client's previous operation at line 41, or their
+// own operation listed as concurrent).
 type DropCommitServer struct {
 	inner *ustor.Server
 }

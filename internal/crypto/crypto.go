@@ -24,13 +24,20 @@ import (
 // HashSize is the size in bytes of hash values produced by Hash.
 const HashSize = sha256.Size
 
-// Domain tags separate the four signature kinds of Algorithm 1 so that a
+// SignatureSize is the size in bytes of every signature Sign produces.
+const SignatureSize = ed25519.SignatureSize
+
+// Domain tags separate the signature kinds of Algorithm 1 so that a
 // signature issued for one purpose can never verify for another.
+//
+// Tag 4 is retired and must never be reused: it marked the paper's
+// PROOF-signature psi on M[i], which the COMMIT-signature now subsumes
+// (its payload starts with M[i]). Keeping the tag unassigned means no
+// psi ever issued can verify under a new meaning.
 const (
 	DomainSubmit byte = 1 // SUBMIT-signature sigma on (opcode, register, timestamp)
 	DomainData   byte = 2 // DATA-signature delta on (timestamp, value hash)
-	DomainCommit byte = 3 // COMMIT-signature phi on a version (V, M)
-	DomainProof  byte = 4 // PROOF-signature psi on M[i]
+	DomainCommit byte = 3 // COMMIT-signature phi on M[i] and the hash of (V, M)
 	// DomainLSChain is used by the lock-step baseline protocol for
 	// signatures over its global hash chain.
 	DomainLSChain byte = 5
@@ -148,7 +155,7 @@ func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
 	if i < 0 || i >= len(k.pubs) {
 		return false
 	}
-	if len(sig) != ed25519.SignatureSize {
+	if len(sig) != SignatureSize {
 		return false
 	}
 	bp := scratchPool.Get().(*[]byte)

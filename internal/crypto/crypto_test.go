@@ -94,12 +94,12 @@ func TestVerifyRejectsMalformed(t *testing.T) {
 func TestTestKeyringDeterministic(t *testing.T) {
 	ring1, signers1 := NewTestKeyring(4, 42)
 	ring2, signers2 := NewTestKeyring(4, 42)
-	sig1 := signers1[2].Sign(DomainProof, []byte("m"))
-	sig2 := signers2[2].Sign(DomainProof, []byte("m"))
+	sig1 := signers1[2].Sign(DomainData, []byte("m"))
+	sig2 := signers2[2].Sign(DomainData, []byte("m"))
 	if !bytes.Equal(sig1, sig2) {
 		t.Fatal("same seed produced different keys")
 	}
-	if !ring1.Verify(2, sig2, DomainProof, []byte("m")) || !ring2.Verify(2, sig1, DomainProof, []byte("m")) {
+	if !ring1.Verify(2, sig2, DomainData, []byte("m")) || !ring2.Verify(2, sig1, DomainData, []byte("m")) {
 		t.Fatal("cross-verification between identically seeded rings failed")
 	}
 }

@@ -11,9 +11,10 @@ import (
 //
 // Ed25519 verification is a pure function of (public key, message,
 // signature), and in USTOR the same triple reaches a process many times:
-// every client sharing a keyring re-checks the SVER[c], PROOF and SUBMIT
-// signatures the server echoes to all of them, and a reader re-checks an
-// unchanged SVER[j]/δ_j on every read. Each Keyring therefore remembers
+// every client sharing a keyring re-checks the SVER[c] and SUBMIT
+// signatures the server echoes to all of them, the line-41 check of P[k]
+// presents the very COMMIT-signature another client already accepted as
+// SVER[c], and a reader re-checks an unchanged SVER[j]/δ_j on every read. Each Keyring therefore remembers
 // the triples a real ed25519.Verify in this process has accepted. The key
 // is H(signer index ‖ domain ‖ payload ‖ signature) with H = SHA-256, the
 // collision-resistant hash Section 2 already assumes, so a hit is exactly

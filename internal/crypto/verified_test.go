@@ -37,7 +37,7 @@ func TestVerifiedCacheBindsWholeTriple(t *testing.T) {
 	}{
 		{"flipped signature byte", 0, flipped, DomainCommit, payload},
 		{"different payload", 0, sig, DomainCommit, otherPayload},
-		{"different domain", 0, sig, DomainProof, payload},
+		{"different domain", 0, sig, DomainData, payload},
 		{"another signer index", 1, sig, DomainCommit, payload},
 	}
 	for _, c := range cases {

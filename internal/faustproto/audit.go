@@ -32,7 +32,7 @@ func Audit(ring *crypto.Keyring, versions []wire.SignedVersion) AuditReport {
 		if sv.Committer < 0 || sv.Committer >= ring.N() {
 			return AuditReport{Reason: fmt.Sprintf("version %d names invalid committer %d", i, sv.Committer)}
 		}
-		if !ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Ver)) {
+		if !ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Committer, sv.Ver)) {
 			return AuditReport{Reason: fmt.Sprintf("version %d carries an invalid COMMIT-signature", i)}
 		}
 		valid = append(valid, sv)

@@ -484,7 +484,7 @@ func (c *Client) handleVersion(from int, m *wire.VersionMsg) {
 	if sv.Committer < 0 || sv.Committer >= c.n {
 		return // malformed; honest clients never send this
 	}
-	if !c.ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Ver)) {
+	if !c.ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Committer, sv.Ver)) {
 		return // unverifiable version carries no information
 	}
 	c.integrateVersion(from, sv)
@@ -496,9 +496,9 @@ func (c *Client) handleFailure(m *wire.Failure) {
 		// versions prove server misbehavior regardless of the sender.
 		a, b := m.EvidenceA, m.EvidenceB
 		okA := a.Committer >= 0 && a.Committer < c.n &&
-			c.ring.Verify(a.Committer, a.Sig, crypto.DomainCommit, wire.CommitPayload(a.Ver))
+			c.ring.Verify(a.Committer, a.Sig, crypto.DomainCommit, wire.CommitPayload(a.Committer, a.Ver))
 		okB := b.Committer >= 0 && b.Committer < c.n &&
-			c.ring.Verify(b.Committer, b.Sig, crypto.DomainCommit, wire.CommitPayload(b.Ver))
+			c.ring.Verify(b.Committer, b.Sig, crypto.DomainCommit, wire.CommitPayload(b.Committer, b.Ver))
 		if !okA || !okB || version.Comparable(a.Ver, b.Ver) {
 			return // bogus evidence; ignore
 		}

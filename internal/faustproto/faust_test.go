@@ -356,16 +356,13 @@ func TestFailHandlerAndBroadcastEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	fails := map[int]error{}
+	// WaitFail returns once fail_i is recorded, which precedes the
+	// handler call, so the handlers are awaited separately.
+	fired := make(chan int, 2*n) // room for a buggy second call per client
 	cl := newCluster(t, n, server, fastConfig(false))
 	for i, c := range cl.clients {
 		i := i
-		c.onFail = func(err error) {
-			mu.Lock()
-			fails[i] = err
-			mu.Unlock()
-		}
+		c.onFail = func(error) { fired <- i }
 	}
 	cl.startAll()
 	for i, c := range cl.clients {
@@ -378,10 +375,15 @@ func TestFailHandlerAndBroadcastEvidence(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fails) != n {
-		t.Fatalf("fail handlers fired %d times, want %d", len(fails), n)
+	fails := map[int]bool{}
+	deadline := time.After(waitLong)
+	for len(fails) < n {
+		select {
+		case i := <-fired:
+			fails[i] = true
+		case <-deadline:
+			t.Fatalf("fail handlers fired for %d clients, want %d", len(fails), n)
+		}
 	}
 }
 
@@ -422,11 +424,11 @@ func TestValidFailureEvidenceAccepted(t *testing.T) {
 		HasEvidence: true,
 		EvidenceA: wire.SignedVersion{
 			Committer: 0, Ver: verA,
-			Sig: signers[0].Sign(crypto.DomainCommit, wire.CommitPayload(verA)),
+			Sig: signers[0].Sign(crypto.DomainCommit, wire.CommitPayload(0, verA)),
 		},
 		EvidenceB: wire.SignedVersion{
 			Committer: 1, Ver: verB,
-			Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(verB)),
+			Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(1, verB)),
 		},
 	}
 	_ = ring
@@ -510,14 +512,14 @@ func TestAuditDetectsFork(t *testing.T) {
 	ring, signers := crypto.NewTestKeyring(2, 9)
 	verA := mkVer(2, 1, 0)
 	verB := mkVer(2, 0, 1)
-	svA := wire.SignedVersion{Committer: 0, Ver: verA, Sig: signers[0].Sign(crypto.DomainCommit, wire.CommitPayload(verA))}
-	svB := wire.SignedVersion{Committer: 1, Ver: verB, Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(verB))}
+	svA := wire.SignedVersion{Committer: 0, Ver: verA, Sig: signers[0].Sign(crypto.DomainCommit, wire.CommitPayload(0, verA))}
+	svB := wire.SignedVersion{Committer: 1, Ver: verB, Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(1, verB))}
 
 	if rep := Audit(ring, []wire.SignedVersion{svA, svB}); rep.OK {
 		t.Fatal("audit missed a fork")
 	}
 	verC := mkVer(2, 1, 1)
-	svC := wire.SignedVersion{Committer: 1, Ver: verC, Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(verC))}
+	svC := wire.SignedVersion{Committer: 1, Ver: verC, Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(1, verC))}
 	if rep := Audit(ring, []wire.SignedVersion{svA, svC, wire.ZeroSignedVersion(2)}); !rep.OK {
 		t.Fatalf("audit rejected a consistent chain: %s", rep.Reason)
 	}

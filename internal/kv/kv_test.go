@@ -284,7 +284,7 @@ func TestForgedDirectoryRejected(t *testing.T) {
 // TestForkingServerDetectedThroughKV is acceptance criterion (b): the
 // Figure 3 forking attack, mounted while the clients only ever use the
 // KV API. The replayed-but-never-committed operation trips the reader's
-// PROOF-signature check and the client halts with the usual fail-aware
+// line-41 proof check and the client halts with the usual fail-aware
 // error — surfaced by GetFrom.
 func TestForkingServerDetectedThroughKV(t *testing.T) {
 	const n = 2
@@ -311,8 +311,9 @@ func TestForkingServerDetectedThroughKV(t *testing.T) {
 	}
 
 	// ...but once the reader has the owner in its digest chain, the next
-	// replayed-but-never-committed operation has no PROOF-signature in
-	// this branch, and detection fires through the KV read.
+	// replayed-but-never-committed operation has no commit of the owner
+	// in this branch to prove it (line 41), and detection fires through
+	// the KV read.
 	if err := owner.Put(context.Background(), "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +324,9 @@ func TestForkingServerDetectedThroughKV(t *testing.T) {
 	var det *ustor.DetectionError
 	if !errors.As(err, &det) {
 		t.Fatalf("forking server not detected through KV API: %v", err)
+	}
+	if !strings.Contains(det.Check, "line 41") {
+		t.Fatalf("detected by %q, want the line-41 proof check", det.Check)
 	}
 	if failed, reason := cl.clients[1].Failed(); !failed {
 		t.Fatalf("client did not halt (reason=%v)", reason)

@@ -285,7 +285,11 @@ func openWAL(path string) (*os.File, []Record, int64, error) {
 		_ = f.Close()
 		return nil, nil, 0, fmt.Errorf("store: %s is not a WAL segment", path)
 	}
-	tail, offsets := scanRecords(data, true)
+	tail, offsets, err := scanRecords(data, true)
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, 0, fmt.Errorf("store: %s: %w", path, err)
+	}
 	valid := offsets[len(offsets)-1]
 	if err := f.Truncate(valid); err != nil {
 		_ = f.Close()
@@ -302,18 +306,24 @@ func openWAL(path string) (*os.File, []Record, int64, error) {
 // decoded records (when collect is true) plus the end offset of every
 // valid record: offsets[0] is the start of the record area and
 // offsets[len-1] the end of the valid prefix. The scan stops at the first
-// torn, corrupt or undecodable frame — it is the single definition of
-// record validity, shared by recovery and RollbackWAL so the two can
-// never disagree about where records end.
-func scanRecords(data []byte, collect bool) ([]Record, []int64) {
+// torn or corrupt frame — it is the single definition of record
+// validity, shared by recovery and RollbackWAL so the two can never
+// disagree about where records end.
+//
+// A frame whose length and checksum are intact but whose content does
+// not decode was written completely, by a writer with another record
+// format (a COMMIT still carrying a separate PROOF-signature, say).
+// Dropping it and everything after it as a torn tail would silently
+// discard records the server already acknowledged, so it is an error.
+func scanRecords(data []byte, collect bool) ([]Record, []int64, error) {
 	var tail []Record
 	offsets := []int64{int64(len(walMagic))}
 	rest := data[len(walMagic):]
 	for len(rest) >= frameHeader {
 		length := binary.BigEndian.Uint32(rest)
 		sum := binary.BigEndian.Uint32(rest[4:])
-		if length > maxRecord || uint32(len(rest)-frameHeader) < length {
-			break // torn or insane length: drop the tail
+		if length == 0 || length > maxRecord || uint32(len(rest)-frameHeader) < length {
+			break // preallocation padding, torn or insane length: drop the tail
 		}
 		payload := rest[frameHeader : frameHeader+length]
 		if crc32.Checksum(payload, crcTable) != sum {
@@ -321,7 +331,8 @@ func scanRecords(data []byte, collect bool) ([]Record, []int64) {
 		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			break // framing intact but content undecodable: treat as torn
+			return nil, nil, fmt.Errorf("intact WAL record at offset %d does not decode (incompatible record format): %w",
+				offsets[len(offsets)-1], err)
 		}
 		if collect {
 			tail = append(tail, rec)
@@ -330,7 +341,7 @@ func scanRecords(data []byte, collect bool) ([]Record, []int64) {
 		offsets = append(offsets, offsets[len(offsets)-1]+advance)
 		rest = rest[advance:]
 	}
-	return tail, offsets
+	return tail, offsets, nil
 }
 
 // initWAL (re)writes the segment header.
@@ -634,7 +645,10 @@ func RollbackWAL(dir string, drop int) (int, error) {
 	// Record boundaries come from the same scanner recovery uses, so the
 	// attack tool and recovery can never disagree about what counts as a
 	// record (zero-filled preallocation padding, torn tails, bit rot).
-	_, offsets := scanRecords(data, false)
+	_, offsets, err := scanRecords(data, false)
+	if err != nil {
+		return 0, fmt.Errorf("store: %s: %w", path, err)
+	}
 	total := len(offsets) - 1
 	keep := total - drop
 	if keep < 0 {

@@ -32,7 +32,7 @@ func submitRecord(from int, t int64) Record {
 func TestRecordCodecRoundTrip(t *testing.T) {
 	recs := []Record{
 		submitRecord(2, 7),
-		{From: 1, Msg: &wire.Commit{Ver: version.New(3), CommitSig: []byte("c"), ProofSig: []byte("p")}},
+		{From: 1, Msg: &wire.Commit{Ver: version.New(3), CommitSig: []byte("c")}},
 	}
 	for i, rec := range recs {
 		enc, err := EncodeRecord(rec)

@@ -47,7 +47,7 @@ func (c *recCore) HandleSubmit(_ context.Context, from int, s *wire.Submit) *wir
 	c.mu.Lock()
 	c.applied = append(c.applied, [2]int{from, int(s.T)})
 	c.mu.Unlock()
-	return &wire.Reply{C: int(s.T), CVer: wire.ZeroSignedVersion(1), P: [][]byte{nil}}
+	return &wire.Reply{C: int(s.T), CVer: wire.ZeroSignedVersion(1), P: []wire.ProofEntry{{}}}
 }
 
 func (c *recCore) HandleCommit(_ context.Context, from int, m *wire.Commit) {

@@ -28,7 +28,7 @@ func (c *echoCore) HandleSubmit(_ context.Context, from int, s *wire.Submit) *wi
 	c.submits = append(c.submits, int(s.T))
 	c.inFlght--
 	c.mu.Unlock()
-	return &wire.Reply{C: int(s.T), CVer: wire.ZeroSignedVersion(1), P: [][]byte{nil}}
+	return &wire.Reply{C: int(s.T), CVer: wire.ZeroSignedVersion(1), P: []wire.ProofEntry{{}}}
 }
 
 func (c *echoCore) HandleCommit(_ context.Context, from int, m *wire.Commit) {

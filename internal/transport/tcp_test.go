@@ -372,7 +372,7 @@ func TestTCPConcurrentPushIntegrity(t *testing.T) {
 				m := &wire.Reply{
 					C:    g*perG + i,
 					CVer: wire.ZeroSignedVersion(1),
-					P:    [][]byte{make([]byte, (g*31+i)%257)},
+					P:    []wire.ProofEntry{{Sig: make([]byte, (g*31+i)%257)}},
 				}
 				if err := core.push(0, m); err != nil {
 					t.Errorf("push: %v", err)

@@ -416,6 +416,14 @@ func (c *Client) validateReplyShape(r *wire.Reply) error {
 	if len(r.P) != c.n {
 		return c.fail("REPLY carries a PROOF array of the wrong dimension")
 	}
+	for _, p := range r.P {
+		if len(p.Hash) != crypto.HashSize {
+			return c.fail("REPLY carries a PROOF entry with a malformed version hash")
+		}
+		if p.Sig != nil && len(p.Sig) != crypto.SignatureSize {
+			return c.fail("REPLY carries a PROOF entry with a malformed signature")
+		}
+	}
 	if r.IsRead && (r.JVer.Ver.N() != c.n || len(r.JVer.Ver.M) != c.n) {
 		return c.fail("REPLY carries a writer version of the wrong dimension")
 	}
@@ -443,7 +451,7 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 	// Line 35: the shown version is either the initial one or carries a
 	// valid COMMIT-signature by client C_c.
 	if !vc.IsZero() {
-		c.payload = wire.AppendCommitPayload(c.payload[:0], vc)
+		c.payload = wire.AppendCommitPayload(c.payload[:0], r.C, vc)
 		if !c.verifyCommitSig(r.C, r.CVer.Sig) {
 			return c.fail("COMMIT-signature on SVER[c] invalid (line 35)")
 		}
@@ -463,10 +471,14 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 	d := mc[r.C]
 	for _, inv := range r.L {
 		k := inv.Client
-		// Line 41: the previous operation of C_k must be committed and
-		// covered by the PROOF-signature the server presents.
+		// Line 41: the previous operation of C_k must be committed. P[k]
+		// is C_k's COMMIT-signature from its latest commit with that
+		// version's hash; the payload starts with C_k's own digest, so it
+		// verifies over (M[k], hash) only if C_k committed the operation
+		// with digest M[k].
 		if c.ver.M[k] != nil {
-			if !c.ring.Verify(k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
+			c.payload = wire.AppendCommitPayloadHash(c.payload[:0], c.ver.M[k], r.P[k].Hash)
+			if !c.ring.Verify(k, r.P[k].Sig, crypto.DomainCommit, c.payload) {
 				return c.fail("PROOF-signature for concurrent operation invalid (line 41)")
 			}
 		}
@@ -505,7 +517,7 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 
 	// Line 49: the writer's version is initial or properly signed by C_j.
 	if !vj.IsZero() {
-		c.payload = wire.AppendCommitPayload(c.payload[:0], vj)
+		c.payload = wire.AppendCommitPayload(c.payload[:0], j, vj)
 		if !c.verifyCommitSig(j, r.JVer.Sig) {
 			return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
 		}
@@ -542,21 +554,21 @@ func (c *Client) verifyCommitSig(i int, sig []byte) bool {
 
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
 // it immediately or defers it to the next SUBMIT (piggyback mode). It
-// returns the signed version for the caller.
+// returns the signed version for the caller. The COMMIT-signature also
+// serves as the paper's PROOF-signature psi (see wire.AppendCommitPayload).
 func (c *Client) commit() (wire.SignedVersion, error) {
-	c.payload = wire.AppendCommitPayload(c.payload[:0], c.ver)
+	c.payload = wire.AppendCommitPayload(c.payload[:0], c.id, c.ver)
 	phi := c.signer.Sign(crypto.DomainCommit, c.payload)
 	// Kept in owned buffers reused across operations: the next reply's
 	// SVER[c] is this version in the common uncontended case.
 	c.ownPayload = append(c.ownPayload[:0], c.payload...)
 	c.ownSig = append(c.ownSig[:0], phi...)
-	psi := c.signer.Sign(crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received
 	// versions without writing through them, and the FAUST layer clones on
 	// retention), while c.ver itself keeps mutating in later operations.
 	sv := c.ver.Clone()
-	msg := &wire.Commit{Ver: sv, CommitSig: phi, ProofSig: psi}
+	msg := &wire.Commit{Ver: sv, CommitSig: phi}
 	if c.piggyback {
 		c.pending = msg
 	} else if err := c.getLink().Send(msg); err != nil {

@@ -144,7 +144,7 @@ func TestReplyUnaffectedByDirectHandlerMutations(t *testing.T) {
 	ver := version.New(n)
 	ver.V[1] = 1
 	ver.M[1] = bytes.Repeat([]byte{0xAB}, crypto.HashSize)
-	server.HandleCommit(context.Background(), 1, &wire.Commit{Ver: ver, CommitSig: []byte("phi"), ProofSig: []byte("psi")})
+	server.HandleCommit(context.Background(), 1, &wire.Commit{Ver: ver, CommitSig: []byte("phi")})
 	// Mutation 3: more traffic on the truncated L.
 	submit(1, 2)
 	submit(2, 2)
@@ -222,13 +222,13 @@ func TestConcurrentDirectHandlersRaceStress(t *testing.T) {
 					sum += inv.Client + len(inv.SubmitSig)
 				}
 				for _, p := range reply.P {
-					sum += len(p)
+					sum += len(p.Hash) + len(p.Sig)
 				}
 				sum += len(reply.CVer.Ver.V)
 				_ = sum
 				ver := version.New(n)
 				ver.V[g] = int64(k)
-				server.HandleCommit(context.Background(), g, &wire.Commit{Ver: ver, CommitSig: []byte{byte(g)}, ProofSig: []byte{byte(k)}})
+				server.HandleCommit(context.Background(), g, &wire.Commit{Ver: ver, CommitSig: []byte{byte(g), byte(k)}})
 			}
 		}(g)
 	}

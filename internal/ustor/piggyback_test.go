@@ -178,7 +178,6 @@ func TestSubmitWithPiggybackCodecRoundTrip(t *testing.T) {
 		Piggyback: &wire.Commit{
 			Ver:       version.New(2),
 			CommitSig: []byte("c"),
-			ProofSig:  []byte("p"),
 		},
 	}
 	data := wire.Encode(s)

@@ -40,8 +40,8 @@ import (
 //     and existing entries are never mutated in place. A commit that
 //     truncates L installs a freshly allocated slice, leaving every view
 //     handed out earlier intact.
-//   - P is an immutable array: a commit installs a new [][]byte with the
-//     one entry replaced rather than writing through the old one.
+//   - P is an immutable array: a commit installs a new []wire.ProofEntry
+//     with the one entry replaced rather than writing through the old one.
 //   - SVER entries and MEM entries are replaced wholesale; the versions
 //     and signatures they reference come from received messages, which
 //     are immutable once handed to the server.
@@ -59,8 +59,12 @@ type Server struct {
 	c    int                  // client who committed the last operation in the schedule
 	sver []wire.SignedVersion // SVER: last version and COMMIT-signature per client
 	l    []wire.Invocation    // L: invocation tuples of concurrent (uncommitted) operations
-	p    [][]byte             // P: PROOF-signatures per client
 	gen  uint64               // state generation, bumped on every mutation
+
+	// p is the REPLY's proof array, derived from SVER: p[k] =
+	// (H(sver[k].Ver), sver[k].Sig). The hash is computed once per
+	// COMMIT and never persisted; RestoreState recomputes it.
+	p []wire.ProofEntry
 }
 
 // compile-time interface check lives in transport tests; avoid the import
@@ -79,12 +83,21 @@ func NewServer(n int) *Server {
 		n:    n,
 		mem:  make([]wire.MemEntry, n),
 		sver: make([]wire.SignedVersion, n),
-		p:    make([][]byte, n),
 	}
 	for i := 0; i < n; i++ {
 		s.sver[i] = wire.ZeroSignedVersion(n)
 	}
+	s.p = proofsOf(s.sver)
 	return s
+}
+
+// proofsOf derives the proof array from SVER.
+func proofsOf(sver []wire.SignedVersion) []wire.ProofEntry {
+	p := make([]wire.ProofEntry, len(sver))
+	for k, sv := range sver {
+		p[k] = wire.ProofEntry{Hash: wire.VersionHash(sv.Ver), Sig: sv.Sig}
+	}
+	return p
 }
 
 // N returns the number of clients.
@@ -164,6 +177,7 @@ func (s *Server) HandleCommit(_ context.Context, from int, m *wire.Commit) {
 	if from < 0 || from >= s.n {
 		return
 	}
+	h := wire.VersionHash(m.Ver) // outside the lock: the message is immutable
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vc := s.sver[s.c].Ver
@@ -178,22 +192,23 @@ func (s *Server) HandleCommit(_ context.Context, from int, m *wire.Commit) {
 			}
 		}
 	}
-	// The message is immutable once received, so its version and signatures
+	// The message is immutable once received, so its version and signature
 	// can be adopted without cloning.
 	s.sver[from] = wire.SignedVersion{Committer: from, Ver: m.Ver, Sig: m.CommitSig}
 	// COW: replies alias P, so replace the array instead of writing through.
-	newP := make([][]byte, s.n)
+	newP := make([]wire.ProofEntry, s.n)
 	copy(newP, s.p)
-	newP[from] = m.ProofSig
+	newP[from] = wire.ProofEntry{Hash: h, Sig: m.CommitSig}
 	s.p = newP
 	s.gen++
 }
 
-// ExportState serializes the server's complete state (MEM, c, SVER, L, P)
-// with the canonical wire.ServerState encoding. Together with
-// RestoreState it makes the server snapshottable: because the server is a
-// deterministic state machine, restoring a snapshot and replaying the
-// SUBMIT/COMMIT messages received afterwards reproduces the state exactly.
+// ExportState serializes the server's complete state (MEM, c, SVER and L;
+// P is derived from SVER) with the canonical wire.ServerState encoding.
+// Together with RestoreState it makes the server snapshottable: because
+// the server is a deterministic state machine, restoring a snapshot and
+// replaying the SUBMIT/COMMIT messages received afterwards reproduces the
+// state exactly.
 // Package store builds its WAL + snapshot persistence on this pair.
 func (s *Server) ExportState() []byte {
 	s.mu.Lock()
@@ -204,7 +219,6 @@ func (s *Server) ExportState() []byte {
 		Mem:  s.mem,
 		Sver: s.sver,
 		L:    s.l,
-		P:    s.p,
 	})
 }
 
@@ -215,6 +229,7 @@ func (s *Server) RestoreState(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("ustor: decoding server state: %w", err)
 	}
+	p := proofsOf(st.Sver)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st.N != s.n {
@@ -224,7 +239,7 @@ func (s *Server) RestoreState(data []byte) error {
 	s.c = st.C
 	s.sver = st.Sver
 	s.l = st.L
-	s.p = st.P
+	s.p = p
 	s.gen++
 	return nil
 }

@@ -299,7 +299,8 @@ func TestClientAccessors(t *testing.T) {
 }
 
 // tamperCore wraps a correct server and mutates chosen replies, modeling a
-// Byzantine server. tamper returns the (possibly modified) reply.
+// Byzantine server. tamper returns the (possibly modified) reply; it gets
+// a deep copy, since the server's replies share its copy-on-write state.
 type tamperCore struct {
 	inner  *Server
 	mu     sync.Mutex
@@ -311,7 +312,7 @@ func (tc *tamperCore) HandleSubmit(ctx context.Context, from int, s *wire.Submit
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.tamper != nil && r != nil {
-		return tc.tamper(from, r)
+		return tc.tamper(from, r.Clone())
 	}
 	return r
 }
@@ -487,7 +488,8 @@ func TestDetectsForgedSubmitSignatureInL(t *testing.T) {
 
 func TestDetectsMissingProofSignature(t *testing.T) {
 	// A second tuple for a client whose digest entry is already set needs
-	// a valid PROOF-signature; the server presents none.
+	// a valid proof that C_k committed its previous operation (P[k]'s
+	// COMMIT-signature); the server presents none.
 	var inject bool
 	var mu sync.Mutex
 	var sigma0 []byte
@@ -498,9 +500,10 @@ func TestDetectsMissingProofSignature(t *testing.T) {
 		defer mu.Unlock()
 		if inject && from == 1 {
 			// Forge a fresh concurrent op of client 0 with its real
-			// signature for the expected timestamp, but clear P[0].
+			// signature for the expected timestamp, but clear P[0]'s
+			// signature (its well-formed hash stays).
 			r.L = append(r.L, wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma0})
-			r.P[0] = nil
+			r.P[0].Sig = nil
 		}
 		return r
 	}

@@ -210,23 +210,12 @@ func DigestOfSequence(clients []int) []byte {
 	return d
 }
 
-// CanonicalBytes returns a deterministic encoding of the version, used as
-// the payload of COMMIT-signatures. The encoding is
-// n || V[0..n-1] || (len,digest)[0..n-1] with fixed-width integers; a nil
-// digest encodes as length 2^32-1 to distinguish bottom from an empty
-// digest.
-func (v Version) CanonicalBytes() []byte {
-	size := 4 + 8*len(v.V)
-	for _, d := range v.M {
-		size += 4 + len(d)
-	}
-	return v.AppendCanonical(make([]byte, 0, size))
-}
-
-// AppendCanonical appends the canonical encoding to buf and returns the
-// extended slice; with sufficient capacity the call is allocation-free.
-// Signature hot paths build COMMIT payloads into reusable scratch buffers
-// with it.
+// AppendCanonical appends a deterministic encoding of the version to buf
+// and returns the extended slice; with sufficient capacity the call is
+// allocation-free. The encoding is n || V[0..n-1] || (len,digest)[0..n-1]
+// with fixed-width integers; a nil digest encodes as length 2^32-1 to
+// distinguish bottom from an empty digest. COMMIT-signatures cover its
+// hash (wire.AppendCommitPayload).
 func (v Version) AppendCanonical(buf []byte) []byte {
 	var tmp [8]byte
 	binary.BigEndian.PutUint32(tmp[:4], uint32(len(v.V)))

@@ -169,7 +169,7 @@ func TestDigestChainPositionSensitive(t *testing.T) {
 func TestCanonicalBytesDistinguishesBottomFromEmpty(t *testing.T) {
 	a := mkVersion([]int64{0}, [][]byte{nil})
 	b := mkVersion([]int64{0}, [][]byte{{}})
-	if bytes.Equal(a.CanonicalBytes(), b.CanonicalBytes()) {
+	if bytes.Equal(a.AppendCanonical(nil), b.AppendCanonical(nil)) {
 		t.Fatal("bottom digest and empty digest must encode differently")
 	}
 }
@@ -184,7 +184,7 @@ func TestCanonicalBytesInjectiveOnSamples(t *testing.T) {
 	}
 	seen := make(map[string]int, len(versions))
 	for i, v := range versions {
-		k := string(v.CanonicalBytes())
+		k := string(v.AppendCanonical(nil))
 		if j, dup := seen[k]; dup {
 			t.Fatalf("versions %d and %d encode identically", i, j)
 		}
@@ -249,7 +249,7 @@ func TestQuickCanonicalBytesInjective(t *testing.T) {
 	for iter := 0; iter < 2000; iter++ {
 		a := randomVersion(rng, 2)
 		b := randomVersion(rng, 2)
-		enc := bytes.Equal(a.CanonicalBytes(), b.CanonicalBytes())
+		enc := bytes.Equal(a.AppendCanonical(nil), b.AppendCanonical(nil))
 		if enc != a.Equal(b) {
 			t.Fatalf("encoding equality (%v) disagrees with Equal (%v) for %v, %v",
 				enc, a.Equal(b), a, b)

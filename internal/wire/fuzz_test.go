@@ -18,7 +18,11 @@ func seedMessages() []wire.Message {
 
 	sv := wire.SignedVersion{Committer: 1, Ver: ver, Sig: []byte("sig")}
 	inv := wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("sigma")}
-	commit := &wire.Commit{Ver: ver, CommitSig: []byte("phi"), ProofSig: []byte("psi")}
+	commit := &wire.Commit{Ver: ver, CommitSig: []byte("phi")}
+	proofs := []wire.ProofEntry{
+		{Hash: bytes.Repeat([]byte{0x11}, 32)},                      // never committed
+		{Hash: bytes.Repeat([]byte{0x22}, 32), Sig: []byte("phi1")}, // committed
+	}
 	tc := &wire.TraceCtx{Span: 0x1122334455667788, Flags: wire.TraceFlagKeep}
 	copy(tc.ID[:], "trace-id-16-byte")
 	tinv := inv
@@ -28,7 +32,9 @@ func seedMessages() []wire.Message {
 		&wire.Submit{T: 7, Inv: inv, Value: []byte("value"), DataSig: []byte("delta")},
 		&wire.Submit{T: 8, Inv: inv, Value: nil, DataSig: []byte("delta"), Piggyback: commit},
 		&wire.Submit{T: 9, Inv: tinv, Value: []byte("traced"), DataSig: []byte("delta")},
-		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{inv}, P: [][]byte{[]byte("p")}},
+		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{inv}, P: proofs},
+		&wire.Reply{IsRead: true, C: 1, CVer: sv, JVer: sv, P: proofs,
+			Mem: wire.MemEntry{T: 3, Value: []byte{}, DataSig: []byte("d")}},
 		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{tinv}, Trace: tc},
 		&wire.Reply{IsRead: true, C: 2, CVer: sv, JVer: sv,
 			Mem: wire.MemEntry{T: 4, Value: []byte("v"), DataSig: []byte("d")}},
@@ -55,8 +61,25 @@ func seedMessages() []wire.Message {
 	}
 }
 
+// seedStates returns server-state snapshots: the initial state and one
+// with committed versions, values and pending tuples.
+func seedStates() []*wire.ServerState {
+	ver := version.New(2)
+	ver.V[0] = 3
+	ver.M[0] = bytes.Repeat([]byte{0xaa}, 32)
+	inv := wire.Invocation{Client: 1, Op: wire.OpRead, Reg: 0, SubmitSig: []byte("sigma")}
+	return []*wire.ServerState{
+		{N: 1, C: 0, Mem: make([]wire.MemEntry, 1), Sver: []wire.SignedVersion{wire.ZeroSignedVersion(1)}},
+		{N: 2, C: 0,
+			Mem:  []wire.MemEntry{{T: 3, Value: []byte("x"), DataSig: []byte("d")}, {}},
+			Sver: []wire.SignedVersion{{Committer: 0, Ver: ver, Sig: []byte("phi")}, wire.ZeroSignedVersion(2)},
+			L:    []wire.Invocation{inv}},
+	}
+}
+
 // FuzzWireDecode checks that the frame codec is strictly canonical:
 // every byte string the decoder accepts re-encodes to exactly itself.
+// The same holds for server-state snapshots, which share the codec.
 // This is a protocol property, not a convenience — SUBMIT and COMMIT
 // signatures cover encoded payloads, so if two distinct byte strings
 // decoded to the same message, a malicious server could swap one for
@@ -71,8 +94,25 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0x00})
 	f.Add(wire.Encode(&wire.Probe{From: 1})[:3])
 	f.Add(append(wire.Encode(&wire.Probe{From: 1}), 0x00))
+	for _, st := range seedStates() {
+		enc := wire.EncodeServerState(st)
+		f.Add(enc)
+		// The format before the proof array was derived: the state
+		// carried P[0..n-1] after L. It must stay rejected.
+		for i := 0; i < st.N; i++ {
+			enc = append(enc, 0xff, 0xff, 0xff, 0xff)
+		}
+		f.Add(enc)
+	}
+	// A COMMIT as encoded when it still carried a PROOF-signature.
+	f.Add(append(wire.Encode(&wire.Commit{Ver: version.New(1), CommitSig: []byte("phi")}), 0, 0, 0, 3, 'p', 's', 'i'))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if st, err := wire.DecodeServerState(data); err == nil {
+			if re := wire.EncodeServerState(st); !bytes.Equal(re, data) {
+				t.Fatalf("accepted non-canonical state:\n in: %x\nout: %x", data, re)
+			}
+		}
 		m, err := wire.Decode(data)
 		if err != nil {
 			return // rejected inputs are out of scope

@@ -18,12 +18,12 @@ func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 		&Submit{T: 1, Inv: Invocation{Client: 0, Op: OpWrite, Reg: 0, SubmitSig: []byte("s")},
 			Value: []byte("v"), DataSig: []byte("d")},
 		&Submit{T: 2, Inv: Invocation{Client: 1, Op: OpRead, Reg: 0, SubmitSig: []byte("s")},
-			Piggyback: &Commit{Ver: version.New(2), CommitSig: []byte("c"), ProofSig: []byte("p")}},
+			Piggyback: &Commit{Ver: version.New(2), CommitSig: []byte("c")}},
 		&Reply{IsRead: true, C: 0, CVer: ZeroSignedVersion(2), JVer: ZeroSignedVersion(2),
 			Mem: MemEntry{T: 1, Value: []byte("v"), DataSig: []byte("d")},
 			L:   []Invocation{{Client: 1, Op: OpRead, Reg: 0, SubmitSig: []byte("s")}},
-			P:   [][]byte{nil, []byte("p")}},
-		&Commit{Ver: version.New(3), CommitSig: []byte("c"), ProofSig: []byte("p")},
+			P:   []ProofEntry{{Hash: []byte("h0")}, {Hash: []byte("h1"), Sig: []byte("p")}}},
+		&Commit{Ver: version.New(3), CommitSig: []byte("c")},
 		&Probe{From: 1},
 		&VersionMsg{From: 0, SV: ZeroSignedVersion(2)},
 		&Failure{From: 1, HasEvidence: true, EvidenceA: ZeroSignedVersion(2), EvidenceB: ZeroSignedVersion(2)},

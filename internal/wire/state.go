@@ -1,10 +1,12 @@
 package wire
 
 // ServerState is the complete state of the USTOR server of Algorithm 2:
-// MEM, the last-committed pointer c, SVER, the concurrent-operation list L
-// and the PROOF-signature array P. The persistence subsystem (package
-// store) snapshots it to disk and restores it on recovery; the canonical
-// encoding below is the snapshot payload.
+// MEM, the last-committed pointer c, SVER and the concurrent-operation
+// list L. The paper's proof array P is not part of it: a correct server
+// updates SVER[k] and P[k] from the same COMMIT, so P is derived from SVER
+// (see ProofEntry) and recomputed on restore. The persistence subsystem
+// (package store) snapshots the state to disk and restores it on
+// recovery; the canonical encoding below is the snapshot payload.
 //
 // The server is untrusted, so nothing here is secret and nothing needs to
 // be authenticated at rest: a snapshot altered by an attacker is just one
@@ -16,7 +18,6 @@ type ServerState struct {
 	Mem  []MemEntry      // MEM, n entries
 	Sver []SignedVersion // SVER, n entries
 	L    []Invocation    // invocation tuples of uncommitted operations
-	P    [][]byte        // PROOF-signatures, n entries; nil = bottom
 }
 
 // stateSize computes the exact encoded size of st so EncodeServerState can
@@ -39,14 +40,11 @@ func stateSize(st *ServerState) int {
 	for _, inv := range st.L {
 		size += 4 + 1 + 4 + 4 + len(inv.SubmitSig)
 	}
-	for _, p := range st.P {
-		size += 4 + len(p)
-	}
 	return size
 }
 
 // EncodeServerState renders the state canonically:
-// n || c || MEM[0..n-1] || SVER[0..n-1] || len(L) || L || P[0..n-1].
+// n || c || MEM[0..n-1] || SVER[0..n-1] || len(L) || L.
 func EncodeServerState(st *ServerState) []byte {
 	buf := make([]byte, 0, stateSize(st))
 	buf = appendU32(buf, uint32(st.N))
@@ -60,9 +58,6 @@ func EncodeServerState(st *ServerState) []byte {
 	buf = appendU32(buf, uint32(len(st.L)))
 	for _, inv := range st.L {
 		buf = appendInvocation(buf, inv)
-	}
-	for _, p := range st.P {
-		buf = appendBytes(buf, p)
 	}
 	return buf
 }
@@ -93,10 +88,6 @@ func DecodeServerState(data []byte) (*ServerState, error) {
 	st.L = make([]Invocation, nl)
 	for i := range st.L {
 		st.L[i] = r.invocation()
-	}
-	st.P = make([][]byte, n)
-	for i := range st.P {
-		st.P[i] = r.bytes()
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -25,7 +25,6 @@ func sampleState() *ServerState {
 		L: []Invocation{
 			{Client: 1, Op: OpRead, Reg: 0, SubmitSig: []byte("sig")},
 		},
-		P: [][]byte{[]byte("p0"), nil},
 	}
 }
 
@@ -42,7 +41,7 @@ func TestServerStateRoundTrip(t *testing.T) {
 	if got.N != st.N || got.C != st.C {
 		t.Fatalf("scalars: got n=%d c=%d", got.N, got.C)
 	}
-	if got.Mem[1].Value != nil || got.P[1] != nil {
+	if got.Mem[1].Value != nil || got.Sver[1].Sig != nil {
 		t.Fatal("nil (bottom) entries did not survive the round trip")
 	}
 	if !got.Sver[0].Ver.Equal(st.Sver[0].Ver) {

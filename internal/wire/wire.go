@@ -7,10 +7,10 @@
 //	        value (writes only) and the DATA-signature.
 //	REPLY   carries the index c of the last committed operation's client,
 //	        the signed version SVER[c], the list L of invocation tuples of
-//	        concurrent operations, the PROOF-signature array P and, for
-//	        reads, SVER[j] and MEM[j] for the requested register j.
-//	COMMIT  carries the client's new version with COMMIT- and
-//	        PROOF-signatures.
+//	        concurrent operations, the proof array P (per client, the hash
+//	        of its last committed version and its COMMIT-signature) and,
+//	        for reads, SVER[j] and MEM[j] for the requested register j.
+//	COMMIT  carries the client's new version with its COMMIT-signature.
 //
 // FAUST (client <-> client over the offline channel, Section 6):
 //
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sync"
 
+	"faust/internal/crypto"
 	"faust/internal/version"
 )
 
@@ -165,8 +166,19 @@ type Reply struct {
 	JVer   SignedVersion // SVER[j], reads only
 	Mem    MemEntry      // MEM[j], reads only
 	L      []Invocation  // invocation tuples of concurrent operations
-	P      [][]byte      // PROOF-signatures, indexed by client; nil = bottom
+	P      []ProofEntry  // per client k: (H(SVER[k].Ver), SVER[k].Sig)
 	Trace  *TraceCtx
+}
+
+// ProofEntry is P[k] of a REPLY: what the line-41 check needs to confirm
+// that client C_k committed the operation whose digest the reader
+// expects. The paper's server keeps a separate PROOF-signature on M[k]
+// for this; here C_k's COMMIT-signature already covers M[k] next to the
+// hash of the whole version (see AppendCommitPayload), so P[k] is derived
+// from SVER[k] and costs no signature of its own.
+type ProofEntry struct {
+	Hash []byte // VersionHash(SVER[k].Ver), always crypto.HashSize bytes
+	Sig  []byte // SVER[k].Sig; nil = bottom (C_k never committed)
 }
 
 // Clone returns a deep copy of the reply sharing no memory with the
@@ -190,22 +202,21 @@ func (rp *Reply) Clone() *Reply {
 		}
 	}
 	if rp.P != nil {
-		c.P = make([][]byte, len(rp.P))
+		c.P = make([]ProofEntry, len(rp.P))
 		for i, p := range rp.P {
-			if p != nil {
-				c.P[i] = append([]byte(nil), p...)
-			}
+			c.P[i] = ProofEntry{Hash: cloneBytes(p.Hash), Sig: cloneBytes(p.Sig)}
 		}
 	}
 	c.Trace = rp.Trace.Clone()
 	return c
 }
 
-// Commit is the COMMIT message of Algorithm 1 (lines 19 and 32).
+// Commit is the COMMIT message of Algorithm 1 (lines 19 and 32). It
+// carries one signature: phi also stands in for the paper's
+// PROOF-signature psi (see ProofEntry).
 type Commit struct {
 	Ver       version.Version
-	CommitSig []byte // phi on the version
-	ProofSig  []byte // psi on M[i]
+	CommitSig []byte // phi on M[i] and the version hash
 }
 
 // Probe is FAUST's offline PROBE message.
@@ -248,8 +259,10 @@ var (
 	_ Message = (*Failure)(nil)
 )
 
-// Signing payloads. These are the exact byte strings covered by the four
-// signature kinds of Algorithm 1, rendered canonically.
+// Signing payloads. These are the exact byte strings covered by the
+// signature kinds of Algorithm 1, rendered canonically. The paper's
+// fourth kind, the PROOF-signature psi on M[i], is folded into the
+// COMMIT-signature.
 
 // SubmitPayload is the payload of the SUBMIT-signature:
 // opcode || register || timestamp || trace context.
@@ -290,18 +303,51 @@ func AppendDataPayload(buf []byte, t int64, xbar []byte) []byte {
 	return append(buf, xbar...)
 }
 
-// CommitPayload is the payload of the COMMIT-signature: the canonical
-// encoding of the version.
-func CommitPayload(v version.Version) []byte { return v.CanonicalBytes() }
-
-// AppendCommitPayload appends the COMMIT-signature payload to buf and
-// returns the extended slice.
-func AppendCommitPayload(buf []byte, v version.Version) []byte {
-	return v.AppendCanonical(buf)
+// CommitPayload is the payload of committer i's COMMIT-signature on
+// version v: M[i] || H(canonical(v)). See AppendCommitPayload.
+func CommitPayload(i int, v version.Version) []byte {
+	return AppendCommitPayload(nil, i, v)
 }
 
-// ProofPayload is the payload of the PROOF-signature: the digest M[i].
-func ProofPayload(m []byte) []byte { return m }
+// AppendCommitPayload appends committer i's COMMIT-signature payload on v
+// to buf and returns the extended slice. The payload is M[i]
+// (length-prefixed, the nil sentinel for bottom) followed by
+// VersionHash(v), so one signature binds the whole version through the
+// hash and also proves, on its own, that C_i committed the operation with
+// digest M[i] — the paper's PROOF-signature, which line 41 checks
+// through AppendCommitPayloadHash. The canonical encoding is built in
+// buf's spare capacity and replaced by its hash, so with enough capacity
+// the call is allocation-free. An i outside v encodes M[i] as bottom; no
+// honest committer signs that, since its own entry is always set.
+func AppendCommitPayload(buf []byte, i int, v version.Version) []byte {
+	var m []byte
+	if i >= 0 && i < len(v.M) {
+		m = v.M[i]
+	}
+	buf = appendBytes(buf, m)
+	mark := len(buf)
+	buf = v.AppendCanonical(buf)
+	return crypto.HashInto(buf[:mark], buf[mark:])
+}
+
+// AppendCommitPayloadHash appends the COMMIT-signature payload for digest
+// m and version hash h: the same bytes AppendCommitPayload produces for a
+// version whose own entry is m and whose VersionHash is h. Line 41 checks
+// P[k] with it without ever seeing C_k's version.
+func AppendCommitPayloadHash(buf, m, h []byte) []byte {
+	buf = appendBytes(buf, m)
+	return append(buf, h...)
+}
+
+// VersionHash returns H(canonical(v)), the version hash a
+// COMMIT-signature covers.
+func VersionHash(v version.Version) []byte {
+	buf := GetBuffer()
+	*buf = v.AppendCanonical((*buf)[:0])
+	h := crypto.Hash(*buf)
+	PutBuffer(buf)
+	return h
+}
 
 // Codec. Values are encoded big-endian; byte strings carry a u32 length
 // with the sentinel 0xFFFFFFFF for nil (bottom).
@@ -544,15 +590,15 @@ func (rp *Reply) encodeBody(buf []byte) []byte {
 	}
 	buf = appendU32(buf, uint32(len(rp.P)))
 	for _, p := range rp.P {
-		buf = appendBytes(buf, p)
+		buf = appendBytes(buf, p.Hash)
+		buf = appendBytes(buf, p.Sig)
 	}
 	return appendTraceCtx(buf, rp.Trace)
 }
 
 func (c *Commit) encodeBody(buf []byte) []byte {
 	buf = appendVersion(buf, c.Ver)
-	buf = appendBytes(buf, c.CommitSig)
-	return appendBytes(buf, c.ProofSig)
+	return appendBytes(buf, c.CommitSig)
 }
 
 func (p *Probe) encodeBody(buf []byte) []byte {
@@ -636,7 +682,6 @@ func Decode(data []byte) (Message, error) {
 			c := &Commit{}
 			c.Ver = r.version()
 			c.CommitSig = r.bytes()
-			c.ProofSig = r.bytes()
 			s.Piggyback = c
 		}
 		m = s
@@ -660,9 +705,10 @@ func Decode(data []byte) (Message, error) {
 		}
 		np := r.u32()
 		if r.err == nil && np <= maxVectorLen {
-			rp.P = make([][]byte, np)
+			rp.P = make([]ProofEntry, np)
 			for i := range rp.P {
-				rp.P[i] = r.bytes()
+				rp.P[i].Hash = r.bytes()
+				rp.P[i].Sig = r.bytes()
 			}
 		} else {
 			r.fail()
@@ -673,7 +719,6 @@ func Decode(data []byte) (Message, error) {
 		c := &Commit{}
 		c.Ver = r.version()
 		c.CommitSig = r.bytes()
-		c.ProofSig = r.bytes()
 		m = c
 	case KindProbe:
 		p := &Probe{}

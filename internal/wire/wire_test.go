@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"faust/internal/crypto"
 	"faust/internal/version"
 )
 
@@ -28,6 +29,19 @@ func sampleSignedVersion(n int, seed int64) SignedVersion {
 	sig := make([]byte, 64)
 	rng.Read(sig)
 	return SignedVersion{Committer: int(seed) % n, Ver: sampleVersion(n, seed), Sig: sig}
+}
+
+// sampleProofs returns a proof array for n clients: every entry carries a
+// version hash, and the clients listed in signed also carry a signature.
+func sampleProofs(n int, signed ...int) []ProofEntry {
+	p := make([]ProofEntry, n)
+	for k := range p {
+		p[k].Hash = bytes.Repeat([]byte{byte(k + 1)}, crypto.HashSize)
+	}
+	for _, k := range signed {
+		p[k].Sig = bytes.Repeat([]byte{byte(0x80 + k)}, 64)
+	}
+	return p
 }
 
 func sampleInvocation(seed int64) Invocation {
@@ -78,7 +92,7 @@ func TestReplyWriteRoundTrip(t *testing.T) {
 		C:      3,
 		CVer:   sampleSignedVersion(4, 5),
 		L:      []Invocation{sampleInvocation(6), sampleInvocation(7)},
-		P:      [][]byte{nil, []byte("proof1"), nil, []byte("proof3")},
+		P:      sampleProofs(4, 1, 3),
 	})
 }
 
@@ -90,7 +104,7 @@ func TestReplyReadRoundTrip(t *testing.T) {
 		JVer:   sampleSignedVersion(4, 9),
 		Mem:    MemEntry{T: 17, Value: []byte("v"), DataSig: bytes.Repeat([]byte{2}, 64)},
 		L:      []Invocation{},
-		P:      [][]byte{nil, nil, nil, nil},
+		P:      sampleProofs(4),
 	})
 }
 
@@ -100,7 +114,7 @@ func TestReplyZeroVersionRoundTrip(t *testing.T) {
 		C:      0,
 		CVer:   ZeroSignedVersion(3),
 		L:      []Invocation{},
-		P:      [][]byte{nil, nil, nil},
+		P:      sampleProofs(3),
 	})
 }
 
@@ -108,7 +122,6 @@ func TestCommitRoundTrip(t *testing.T) {
 	roundTrip(t, &Commit{
 		Ver:       sampleVersion(5, 11),
 		CommitSig: bytes.Repeat([]byte{3}, 64),
-		ProofSig:  bytes.Repeat([]byte{4}, 64),
 	})
 }
 
@@ -161,7 +174,7 @@ func TestDecodeRejectsTruncations(t *testing.T) {
 		JVer:   sampleSignedVersion(3, 21),
 		Mem:    MemEntry{T: 5, Value: []byte("x"), DataSig: bytes.Repeat([]byte{9}, 64)},
 		L:      []Invocation{sampleInvocation(22)},
-		P:      [][]byte{nil, []byte("p"), nil},
+		P:      sampleProofs(3, 1),
 	})
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := Decode(full[:cut]); err == nil {
@@ -220,10 +233,56 @@ func TestDataPayloadBottomVsHash(t *testing.T) {
 	}
 }
 
+// The COMMIT payload is M[i] || H(canonical bytes of the version): the
+// version enters only through the hash of its canonical encoding, and the
+// line-41 form rebuilt from (M[i], hash) is byte for byte the same.
 func TestCommitPayloadMatchesCanonicalBytes(t *testing.T) {
 	v := sampleVersion(3, 33)
-	if !bytes.Equal(CommitPayload(v), v.CanonicalBytes()) {
-		t.Fatal("CommitPayload must equal the canonical version encoding")
+	v.M[1] = bytes.Repeat([]byte{0x5a}, 32)
+	h := crypto.Hash(v.AppendCanonical(nil))
+	want := appendBytes(nil, v.M[1])
+	want = append(want, h...)
+	if got := CommitPayload(1, v); !bytes.Equal(got, want) {
+		t.Fatalf("CommitPayload = %x, want M[1] || H(canonical) = %x", got, want)
+	}
+	if !bytes.Equal(VersionHash(v), h) {
+		t.Fatal("VersionHash must hash the canonical version encoding")
+	}
+	if got := AppendCommitPayloadHash(nil, v.M[1], h); !bytes.Equal(got, want) {
+		t.Fatal("AppendCommitPayloadHash must rebuild the COMMIT payload from (M[i], hash)")
+	}
+}
+
+// Every component of the version is bound: changing a timestamp, another
+// client's digest, the committer index or turning the own digest into
+// bottom all change the payload.
+func TestCommitPayloadBindsVersion(t *testing.T) {
+	v := sampleVersion(3, 34)
+	v.M[0] = bytes.Repeat([]byte{1}, 32)
+	v.M[2] = bytes.Repeat([]byte{2}, 32)
+	base := CommitPayload(0, v)
+	variants := map[string]func() []byte{
+		"timestamp bumped": func() []byte { w := v.Clone(); w.V[1]++; return CommitPayload(0, w) },
+		"other digest":     func() []byte { w := v.Clone(); w.M[2][0] ^= 1; return CommitPayload(0, w) },
+		"other committer":  func() []byte { return CommitPayload(2, v) },
+		"bottom own entry": func() []byte { w := v.Clone(); w.M[0] = nil; return CommitPayload(0, w) },
+		"out-of-range":     func() []byte { return CommitPayload(7, v) },
+	}
+	for name, f := range variants {
+		if bytes.Equal(f(), base) {
+			t.Errorf("%s: payload unchanged", name)
+		}
+	}
+}
+
+func TestAppendCommitPayloadAllocFree(t *testing.T) {
+	v := sampleVersion(8, 35)
+	buf := make([]byte, 0, 1024)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendCommitPayload(buf[:0], 3, v)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendCommitPayload allocated %.1f times per call", allocs)
 	}
 }
 
@@ -252,7 +311,7 @@ func TestMemEntryClone(t *testing.T) {
 }
 
 func TestEncodedSizeMatchesEncode(t *testing.T) {
-	m := &Commit{Ver: sampleVersion(4, 50), CommitSig: []byte("c"), ProofSig: []byte("p")}
+	m := &Commit{Ver: sampleVersion(4, 50), CommitSig: []byte("c")}
 	if EncodedSize(m) != len(Encode(m)) {
 		t.Fatal("EncodedSize disagrees with Encode")
 	}
@@ -268,14 +327,14 @@ func TestQuickReplyRoundTrip(t *testing.T) {
 			C:      rng.Intn(n),
 			CVer:   sampleSignedVersion(n, rng.Int63()),
 			L:      make([]Invocation, rng.Intn(4)),
-			P:      make([][]byte, n),
+			P:      sampleProofs(n),
 		}
 		for i := range rp.L {
 			rp.L[i] = sampleInvocation(rng.Int63())
 		}
 		for i := range rp.P {
 			if rng.Intn(2) == 0 {
-				rp.P[i] = []byte{byte(i)}
+				rp.P[i].Sig = []byte{byte(i)}
 			}
 		}
 		if rp.IsRead {
@@ -293,7 +352,6 @@ func TestQuickEncodeDeterministic(t *testing.T) {
 		m := &Commit{
 			Ver:       sampleVersion(1+rng.Intn(5), rng.Int63()),
 			CommitSig: []byte("sig"),
-			ProofSig:  []byte("proof"),
 		}
 		if !bytes.Equal(Encode(m), Encode(m)) {
 			t.Fatal("encoding not deterministic")
