@@ -626,8 +626,7 @@ func BenchmarkThroughput(b *testing.B) {
 // throughput over TCP (E17): the same 8 client identities served as one
 // register group vs. split across 4 independent shards, each with its own
 // dispatcher goroutine and a quarter-size group. cmd/faust-bench -run
-// multishard prints the full table including the shared-dispatcher
-// ablation.
+// multishard prints the full table.
 func BenchmarkShardThroughput(b *testing.B) {
 	const totalClients = 8
 	for _, shards := range []int{1, 4} {

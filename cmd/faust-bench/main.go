@@ -165,12 +165,12 @@ func main() {
 		{"crypto", "E12: cryptographic cost per operation", expCrypto},
 		{"persist", "E15: durability cost — in-memory vs WAL-logged server (fsync off/on)", expPersist},
 		{"throughput", "E16: concurrent multi-client throughput, in-memory vs fsync'd WAL", expThroughput},
-		{"multishard", "E17: multi-tenant shard scaling over TCP vs the single-dispatcher baseline", expMultiShard},
+		{"multishard", "E17: multi-tenant shard scaling over TCP vs a single register group", expMultiShard},
 		{"kv", "E18: authenticated KV layer — value-size and key-count sweeps, cache ablation", expKV},
 		{"kvtree", "E19: O(log n) directories — Put/GetFrom cost vs key count, Merkle tree vs flat ablation", expKVTree},
 		{"lattail", "E20: latency tails (p50/p99/p999) under concurrent load, and the cost of metrics", expLatencyTail},
 		{"failover", "E21: blob-fleet failover — KV workload survives the primary's death; degraded vs recovered tails, tampered-replica ablation", expFailover},
-		{"batch", "E22: batched verify/apply dispatch — ops/sec and tails vs batch cap and client count, one-op batches (cap=1) ablation", expBatch},
+		{"batch", "E22: batched apply/flush dispatch — ops/sec and tails vs batch cap and client count, one-op batches (cap=1) ablation", expBatch},
 	}
 
 	want := map[string]bool{}
@@ -799,14 +799,12 @@ func expThroughput() {
 // served as one big register group vs. partitioned into independent
 // tenants, over a real TCP loopback server. More shards means smaller
 // groups (O(n) messages shrink) AND parallel dispatchers — the two levers
-// multi-tenant sharding pulls. The final row re-runs the 4-shard split
-// through one shared dispatcher (the pre-shard architecture's global
-// serialization) to isolate the dispatcher's contribution.
+// multi-tenant sharding pulls.
 func expMultiShard() {
 	const totalClients = 16
 	const opsPer = 120
 
-	run := func(label string, shards int, shared bool) float64 {
+	run := func(label string, shards int) float64 {
 		per := totalClients / shards
 		ring, signers := crypto.NewTestKeyring(per, 13)
 		specs := make([]shard.Spec, shards)
@@ -821,11 +819,7 @@ func expMultiShard() {
 		if err != nil {
 			fail(err)
 		}
-		var opts []transport.TCPOption
-		if shared {
-			opts = append(opts, transport.WithSharedDispatcher())
-		}
-		srv := transport.ServeTCPSharded(ln, router, opts...)
+		srv := transport.ServeTCPSharded(ln, router)
 		defer srv.Stop()
 
 		clients := make([]*ustor.Client, 0, totalClients)
@@ -868,10 +862,9 @@ func expMultiShard() {
 		ops  float64
 	}
 	rows := []row{
-		{"1 shard x 16 clients (single group)", run("shards=1", 1, false)},
-		{"2 shards x 8 clients", run("shards=2", 2, false)},
-		{"4 shards x 4 clients", run("shards=4", 4, false)},
-		{"4 shards, shared dispatcher (ablation)", run("shards=4-shared", 4, true)},
+		{"1 shard x 16 clients (single group)", run("shards=1", 1)},
+		{"2 shards x 8 clients", run("shards=2", 2)},
+		{"4 shards x 4 clients", run("shards=4", 4)},
 	}
 	base := rows[0].ops
 	fmt.Printf("(%d total clients, %d writes each, TCP loopback, GOMAXPROCS=%d)\n",
@@ -1580,9 +1573,8 @@ func expFailover() {
 // wire-level clients (one SUBMIT-signature per op, replies awaited but
 // not re-verified) run over the in-memory transport against a
 // WAL-logged server (fsync on — the deployment the pipeline exists
-// for), with dispatcher-side signature verification armed,
-// sweeping the drain cap against the client count. Wire-level rather
-// than full-protocol clients on purpose: a full USTOR client checks
+// for), sweeping the drain cap against the client count. Wire-level
+// rather than full-protocol clients on purpose: a full USTOR client checks
 // O(n) signatures per REPLY (a SUBMIT-signature and a line-41 proof per
 // concurrent operation), and at 128 clients that
 // client-side crypto saturates a small runner's CPU and masks the
@@ -1619,9 +1611,8 @@ func expBatch() {
 		opsPerSec      float64
 		p50, p99, p999 int64
 	}
-	// withServer builds the WAL-logged, verification-armed server and
-	// network, runs body against it, and turns the sampled latencies into
-	// a recorded row.
+	// withServer builds the WAL-logged server and network, runs body
+	// against it, and turns the sampled latencies into a recorded row.
 	withServer := func(name string, m, cap, opsPer int, body func(nw *transport.Network, signers []*crypto.Signer, setLat func(c int, v []int64))) tail {
 		dir, err := os.MkdirTemp("", "faust-bench-batch")
 		if err != nil {
@@ -1637,9 +1628,8 @@ func expBatch() {
 			fail(err)
 		}
 		defer ps.Close()
-		ring, signers := crypto.NewTestKeyring(m, 22)
-		nw := transport.NewNetwork(m, ps,
-			transport.WithVerifier(ring), transport.WithMaxBatch(cap))
+		_, signers := crypto.NewTestKeyring(m, 22)
+		nw := transport.NewNetwork(m, ps, transport.WithMaxBatch(cap))
 		defer nw.Stop()
 
 		samples := make([][]int64, m)
@@ -1684,7 +1674,7 @@ func expBatch() {
 
 	// runRaw drives m wire-level clients: each signs and sends one
 	// SUBMIT at a time and waits for its REPLY, so the measured path is
-	// sign -> verify -> WAL append+apply -> flush -> reply.
+	// sign -> queue -> WAL append+apply -> flush -> reply.
 	runRaw := func(name string, m, cap, opsPer int) tail {
 		return withServer(name, m, cap, opsPer, func(nw *transport.Network, signers []*crypto.Signer, setLat func(int, []int64)) {
 			done := make(chan error, m)
@@ -1772,8 +1762,8 @@ func expBatch() {
 	}
 
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("(WAL fsync server, dispatcher signature verification on,\n" +
-		" signed wire-level writes; cap=1 is the one-op-batch ablation)\n")
+	fmt.Printf("(WAL fsync server, signed wire-level writes;\n" +
+		" cap=1 is the one-op-batch ablation)\n")
 	fmt.Printf("%-10s %6s %8s %12s %10s %10s %10s\n",
 		"clients", "cap", "ops", "ops/sec", "p50 us", "p99 us", "p999 us")
 	byCap := make(map[[2]int]tail)

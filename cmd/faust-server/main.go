@@ -2,20 +2,22 @@
 //
 // The server is the UNTRUSTED party of the protocol: all guarantees are
 // enforced by the clients. By default it holds no keys and verifies
-// nothing. -verify opts into dispatcher-side SUBMIT-signature checking as
-// admission hygiene (forged SUBMITs are rejected before they touch shard
-// state); the public keys are derived deterministically from -seed, which
-// must match the clients' -seed (demo-grade key distribution — use a real
-// PKI beyond a demo). Verification never strengthens the protocol: a
-// Byzantine server would simply skip it.
+// nothing. -auth makes every shard authenticate its connections once, at
+// the handshake: the server sends a nonce and admits a client only when it
+// signs the nonce, its id and the shard name with its key. That keeps a
+// peer without a key from displacing a client's connection or speaking in
+// its name. The public keys are derived deterministically from -seed,
+// which must match the clients' -seed (demo-grade key distribution — use a
+// real PKI beyond a demo; every shard with the same n gets the same keys).
+// Authentication never strengthens the protocol: a Byzantine server would
+// simply skip it.
 //
 // # Batched dispatch
 //
 // Each shard dispatcher drains its inbox in arrival-order batches of up
-// to -max-batch messages: SUBMIT signatures verify in parallel across
-// -verify-workers goroutines (with -verify), ops apply in order, the WAL
-// syncs once per batch, and replies coalesce into one framed write per
-// connection. -max-batch 1 makes every op its own batch.
+// to -max-batch messages: ops apply in order, the WAL syncs once per
+// batch, and replies coalesce into one framed write per connection.
+// -max-batch 1 makes every op its own batch.
 //
 // Example:
 //
@@ -26,9 +28,9 @@
 //
 // The server hosts many independent client groups ("shards") in one
 // process. Every shard is its own n-client register group with isolated
-// state; the v2 TCP handshake names the shard a connection belongs to,
-// while legacy clients (pre-shard hello) land on the shard named
-// "default", which -n and -data-dir configure exactly as before.
+// state; the TCP handshake names the shard a connection belongs to. The
+// shard named "default" is the one -n and -data-dir configure, and the
+// one a client without -shard dials.
 //
 //	faust-server -addr :7440 -n 3 -data-dir /var/lib/faust \
 //	    -shards tenants.conf -shard-spec n=4,persist
@@ -136,9 +138,8 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "retain 1 in N traces by head sampling (0 = head sampling off)")
 	traceSlow := flag.Duration("trace-slow", 0, "always retain traces at least this slow (tail sampling; 0 = off)")
 	maxBatch := flag.Int("max-batch", transport.DefaultMaxBatch, "max messages a shard dispatcher drains per batch (1 = one op per batch)")
-	verify := flag.Bool("verify", false, "verify SUBMIT signatures at the dispatcher (admission hygiene; keys derived from -seed)")
-	verifyWorkers := flag.Int("verify-workers", 0, "goroutines for parallel batch signature verification (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 42, "deterministic demo key seed for -verify (must match the clients' -seed)")
+	auth := flag.Bool("auth", false, "admit a connection only when its hello signs the server's nonce (keys derived from -seed)")
+	seed := flag.Int64("seed", 42, "deterministic demo key seed for -auth (must match the clients' -seed)")
 	flag.Parse()
 
 	if *traceSample > 0 || *traceSlow > 0 {
@@ -211,8 +212,7 @@ func main() {
 		BlobFleet:    fleetSpec,
 		BlobFaults:   faultPlan,
 	}
-	if *verify {
-		crypto.SetVerifyWorkers(*verifyWorkers)
+	if *auth {
 		opts.VerifyKeyring = func(name string, n int) *crypto.Keyring {
 			// Same derivation as faust-client: seed + group size. Every
 			// shard with the same n shares the demo key set.
@@ -271,8 +271,8 @@ func main() {
 	if *maxBatch != 1 {
 		fmt.Printf("faust-server: batched dispatch on (max-batch=%d)\n", *maxBatch)
 	}
-	if *verify {
-		fmt.Printf("faust-server: SUBMIT signature verification on (seed=%d, workers=%d)\n", *seed, crypto.VerifyWorkers())
+	if *auth {
+		fmt.Printf("faust-server: handshake authentication on (seed=%d)\n", *seed)
 	}
 	fmt.Println("faust-server: this process is the UNTRUSTED party; clients verify everything")
 

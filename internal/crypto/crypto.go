@@ -41,6 +41,9 @@ const (
 	// DomainLSChain is used by the lock-step baseline protocol for
 	// signatures over its global hash chain.
 	DomainLSChain byte = 5
+	// DomainHello signs the TCP handshake challenge: a server nonce, the
+	// client id and the shard name (see internal/transport).
+	DomainHello byte = 6
 )
 
 // scratchPool recycles the concatenation / domain-prefix buffers used by
@@ -128,7 +131,7 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 
 // Keyring holds the public keys of all n clients and, optionally, the
 // private key of one of them. All parties (clients and the server, if it
-// chose to verify) share the same public keyring. A Keyring also caches
+// authenticates connections) share the same public keyring. A Keyring also caches
 // the signature triples it has accepted (see verified.go), so every party
 // sharing one keyring verifies each distinct signature once.
 type Keyring struct {

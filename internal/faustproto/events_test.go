@@ -184,7 +184,7 @@ func tcpCluster(t *testing.T, n int, core transport.ServerCore, cfg Config, opts
 	hub := offline.NewHub(n)
 	cl := &cluster{hub: hub, clients: make([]*Client, n)}
 	for i := 0; i < n; i++ {
-		link, err := transport.DialTCP(ln.Addr().String(), i)
+		link, err := transport.DialTCPShard(ln.Addr().String(), "", i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,8 @@ const (
 	// EventRollback: the server presented a version that does not extend
 	// the client's own — the signature of replaying old state.
 	EventRollback EventKind = "rollback-detected"
-	// EventPreflightReject: the server refused a shard handshake during
-	// preflight (unknown shard, dimension mismatch, bad magic).
+	// EventPreflightReject: the server refused a shard handshake (unknown
+	// shard, out-of-range id, a hello signature that does not verify).
 	EventPreflightReject EventKind = "preflight-reject"
 	// EventBlobTamper: a reader recomputed a blob's content hash and it
 	// did not match the address it was fetched under.
@@ -39,10 +39,10 @@ const (
 	// EventBackendUp: a previously dead blob backend answered a probe
 	// (or live traffic) and was resurrected into the rotation.
 	EventBackendUp EventKind = "blob-backend-up"
-	// EventSubmitReject: the dispatcher's opt-in SUBMIT verification
-	// refused an operation — forged signature, or a sender id claiming
-	// another client's identity. The op is dropped before it can touch
-	// the core; the rest of its batch proceeds.
+	// EventSubmitReject: the dispatcher refused a SUBMIT that names
+	// another client than the connection it arrived on (the identity the
+	// handshake admitted). The op is dropped before it can touch the
+	// core; the rest of its batch proceeds.
 	EventSubmitReject EventKind = "submit-sig-reject"
 )
 

@@ -50,7 +50,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}()
 	clients := make([]*ustor.Client, n)
 	for i := range clients {
-		link, err := transport.DialTCP(ln.Addr().String(), i)
+		link, err := transport.DialTCPShard(ln.Addr().String(), "", i)
 		if err != nil {
 			t.Fatal(err)
 		}

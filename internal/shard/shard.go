@@ -5,10 +5,10 @@
 // and, optionally, its own store.Persistent backend in a per-shard data
 // directory; shards share nothing but the process. The Router implements
 // transport.ShardResolver, so a transport.TCPServer serves all shards from
-// a single listener: the v2 handshake names the shard, legacy clients land
-// on transport.DefaultShard, and every shard gets its own dispatcher
-// goroutine in the transport — per-shard handler atomicity with cross-shard
-// parallelism (see the E17 experiment in cmd/faust-bench).
+// a single listener: the handshake names the shard, and every shard gets
+// its own dispatcher goroutine in the transport — per-shard handler
+// atomicity with cross-shard parallelism (see the E17 experiment in
+// cmd/faust-bench).
 //
 // Shards are instantiated lazily on first resolution: a declared (or
 // template-matched) shard costs nothing until a client connects, at which
@@ -87,12 +87,12 @@ type Options struct {
 	// fleet backend in a fault injector.
 	BlobFleet  *blobfleet.FleetSpec
 	BlobFaults *blobfleet.FaultPlan
-	// VerifyKeyring, when non-nil, supplies each shard's public keyring
-	// for dispatcher-side SUBMIT-signature verification (see the
-	// transport.VerifierResolver extension). It is called once per shard
-	// instantiation with the shard's name and group size; returning nil
-	// leaves that shard unverified. Admission hygiene only — the
-	// protocol's guarantees stay client-enforced.
+	// VerifyKeyring, when non-nil, supplies each shard's public keyring,
+	// against which the transport authenticates every connection's hello
+	// (see the transport.VerifierResolver extension). It is called once
+	// per shard instantiation with the shard's name and group size;
+	// returning nil leaves that shard's handshake unauthenticated.
+	// Admission only — the protocol's guarantees stay client-enforced.
 	VerifyKeyring func(name string, n int) *crypto.Keyring
 }
 
@@ -111,7 +111,7 @@ type instance struct {
 	info  Info
 	core  transport.ServerCore
 	ps    *store.Persistent   // nil for in-memory shards
-	ring  *crypto.Keyring     // nil when the shard is unverified
+	ring  *crypto.Keyring     // nil when the shard's handshake is unauthenticated
 	blobs transport.BlobStore // bulk blob channel backing (KV chunks)
 	fleet *blobfleet.Failover // nil without Options.BlobFleet; Close stops its prober
 }
@@ -419,11 +419,11 @@ func (r *Router) ResolveBlobs(name string) (transport.BlobStore, error) {
 }
 
 // ResolveVerifier implements transport.VerifierResolver: it returns the
-// named shard's SUBMIT-verification keyring, nil when the shard is
-// unverified (no Options.VerifyKeyring, or it declined this shard). The
-// transport consults it after ResolveShard on the same handshake, so the
-// instance always exists by the time this runs; a racing Close simply
-// yields nil, which downgrades to no verification — never a wrong ring.
+// keyring that authenticates the named shard's connections, nil when the
+// shard admits clients without a signature (no Options.VerifyKeyring, or
+// it declined this shard). The transport consults it after ResolveShard
+// on the same handshake, and an instance stays in the table once created
+// (Close keeps it), so the ring returned is always the shard's own.
 func (r *Router) ResolveVerifier(name string) *crypto.Keyring {
 	r.mu.Lock()
 	defer r.mu.Unlock()

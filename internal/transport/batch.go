@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"faust/internal/crypto"
 	"faust/internal/obs"
 	"faust/internal/obs/trace"
 	"faust/internal/wire"
@@ -13,19 +12,18 @@ import (
 // Batched dispatch pipeline, shared by the TCP and in-memory transports.
 //
 // The pre-batching dispatchers popped one envelope at a time: one
-// signature verify (when enabled), one HandleSubmit, one WAL fsync (under
-// persistence) and one reply write per operation. Under load the inbox
-// holds many queued operations, and every per-op cost that can legally be
-// amortized across them should be. The pipeline stages a drained batch:
+// HandleSubmit, one WAL fsync (under persistence) and one reply write per
+// operation. Under load the inbox holds many queued operations, and every
+// per-op cost that can legally be amortized across them should be. The
+// pipeline stages a drained batch:
 //
 //	drain     popBatch takes everything queued, up to the -max-batch cap,
 //	          preserving arrival (and therefore per-connection FIFO) order
-//	verify    SUBMIT signatures of the whole batch check in parallel on
-//	          crypto's worker pool — a forged one rejects only its own op
-//	apply     verified ops run sequentially against the single-writer
-//	          core, exactly as the paper's atomic handlers require; cores
-//	          implementing BatchCore buffer their WAL appends
-//	flush     each BatchCore the batch touched, by a SUBMIT or a COMMIT,
+//	apply     ops run sequentially against the single-writer core,
+//	          exactly as the paper's atomic handlers require; a SUBMIT
+//	          naming another client than its connection is dropped, and
+//	          cores implementing BatchCore buffer their WAL appends
+//	flush     a BatchCore the batch touched, by a SUBMIT or a COMMIT,
 //	          makes the whole batch durable with one fsync
 //	reply     replies coalesce into one framed write per destination
 //
@@ -35,9 +33,9 @@ import (
 // the reliable-FIFO contract the protocol assumes is untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
-// transport was not configured otherwise. Large enough to amortize fsync
-// and verification fan-out, small enough to bound the latency a first-in
-// op waits for its batchmates' apply stage.
+// transport was not configured otherwise. Large enough to amortize fsync,
+// small enough to bound the latency a first-in op waits for its
+// batchmates' apply stage.
 const DefaultMaxBatch = 64
 
 // oversizedBatch is the size from which a drained batch is considered
@@ -46,14 +44,11 @@ const DefaultMaxBatch = 64
 const oversizedBatch = 32
 
 // batchSink is the transport-specific half of the pipeline: which core
-// and (optional) verification keyring own an envelope, and how replies
-// leave the server. shardRT implements it for TCP, Network for the
-// in-memory transport, which is what lets both run the same dispatch
-// engine — and the same drain-after-close semantics.
+// owns an envelope, and how replies leave the server. shardRT implements
+// it for TCP, Network for the in-memory transport, which is what lets both
+// run the same dispatch engine — and the same drain-after-close semantics.
 type batchSink interface {
 	sinkCore() ServerCore
-	sinkRing() *crypto.Keyring
-	sinkName() string
 	// countOp accounts one dispatched envelope (per-tenant op counters).
 	countOp()
 	// sendReplies delivers a batch's replies for client `to` in order,
@@ -79,48 +74,42 @@ type BatchCore interface {
 	FlushBatch() error
 }
 
-// verify-job markers for batchOp.job.
-const (
-	jobNone     = -1 // no verification configured for this op's sink
-	jobRejected = -2 // rejected before verification (sender id mismatch)
-)
-
 // batchOp is the pipeline's per-SUBMIT state across stages. Ops stay
-// index-aligned with their batch envelopes; a COMMIT records only the
-// BatchCore it touched, and generic messages leave their slot zeroed
+// index-aligned with their batch envelopes; a COMMIT records only whether
+// it awaits the batch flush, and generic messages leave their slot zeroed
 // apart from done-keeping.
 type batchOp struct {
 	ctx      context.Context
 	h        trace.Handle
 	start    time.Time
 	tid      trace.TraceID
-	job      int
 	reply    *wire.Reply
-	bc       BatchCore
+	durable  bool // logged by the BatchCore; settles at its batch flush
 	isSubmit bool
 	done     bool
 }
 
-// dispatchScratch is one dispatcher goroutine's reusable buffers: the
-// steady state allocates nothing per batch beyond what crypto's pool
-// needs for fan-out.
+// dispatchScratch is one dispatcher goroutine's state: the sink every
+// envelope of its inbox belongs to, its core, and reusable buffers, so
+// the steady state allocates nothing per batch.
 type dispatchScratch struct {
-	batch   []envelope
-	ops     []batchOp
-	jobs    []crypto.VerifyJob
-	payload []byte
-	cores   []BatchCore
-	failed  []BatchCore
-	msgs    []wire.Message
+	sink  batchSink
+	core  ServerCore
+	bc    BatchCore // core as a BatchCore; nil when it has no batch flush
+	batch []envelope
+	ops   []batchOp
+	msgs  []wire.Message
 }
 
 // dispatchBatches is the dispatcher event loop both transports run: drain
-// a batch, pipeline it, repeat until the inbox closes and empties.
-func dispatchBatches(q *fifo[envelope], maxBatch int) {
+// a batch of the sink's inbox, pipeline it, repeat until the inbox closes
+// and empties.
+func dispatchBatches(q *fifo[envelope], sink batchSink, maxBatch int) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	sc := &dispatchScratch{}
+	sc := &dispatchScratch{sink: sink, core: sink.sinkCore()}
+	sc.bc, _ = sc.core.(BatchCore)
 	for {
 		batch, ok := q.popBatch(maxBatch, sc.batch[:0])
 		sc.batch = batch
@@ -153,79 +142,44 @@ func observeBatchSize(batch []envelope) {
 	tmBatchSize.ObserveExemplarAlways(int64(len(batch)), tid)
 }
 
-const submitRejectDetail = "SUBMIT signature verification failed"
+const submitRejectDetail = "SUBMIT names another client than its connection"
 
 // rejectSubmit accounts one refused SUBMIT: metrics plus a protocol
-// event, mirroring how handshake preflight rejections are surfaced.
-func rejectSubmit(sink batchSink, from int) {
+// event, mirroring how handshake rejections are surfaced.
+func rejectSubmit(from int) {
 	tmVerifyRejects.Inc()
-	obs.Default().Events().Record(obs.EventSubmitReject, from, sink.sinkName(), submitRejectDetail)
+	obs.Default().Events().Record(obs.EventSubmitReject, from, "", submitRejectDetail)
 }
 
-// runBatch pipelines a drained batch through verify, apply, flush and
-// coalesced reply.
+// runBatch pipelines a drained batch through apply, flush and coalesced
+// reply.
 //
 //faustlint:hotpath
 func runBatch(batch []envelope, sc *dispatchScratch) {
 	ops := sc.ops[:0]
-	jobs := sc.jobs[:0]
-	payload := sc.payload[:0]
 
-	// Stage 1 — classify: join traces, stamp queue waits, and build the
-	// verification jobs. Job payloads slice into one shared scratch
-	// buffer; each slice is taken immediately after its append, so later
-	// growth cannot disturb it.
+	// Stage 1 — classify: join traces and stamp queue waits, so every
+	// SUBMIT's server span covers its wait for earlier batchmates.
 	for i := range batch {
 		e := &batch[i]
-		e.sink.countOp()
+		sc.sink.countOp()
 		var op batchOp
 		if m, isSubmit := e.msg.(*wire.Submit); isSubmit {
 			op.isSubmit = true
-			op.job = jobNone
 			op.ctx, op.h = joinWireTrace(context.Background(), m.Inv.Trace, true, spanSrvSubmit)
 			trace.Event(op.ctx, spanQueue, e.enq)
 			op.start = obs.StartTimer()
 			op.tid = exemplarID(m.Inv.Trace)
-			if ring := e.sink.sinkRing(); ring != nil {
-				if m.Inv.Client != e.from {
-					op.job = jobRejected
-				} else {
-					pstart := len(payload)
-					payload = wire.AppendSubmitPayload(payload, m.Inv.Op, m.Inv.Reg, m.T, m.Inv.Trace)
-					jobs = append(jobs, crypto.VerifyJob{
-						Ring:    ring,
-						Signer:  e.from,
-						Domain:  crypto.DomainSubmit,
-						Sig:     m.Inv.SubmitSig,
-						Payload: payload[pstart:len(payload):len(payload)],
-					})
-					op.job = len(jobs) - 1
-				}
-			}
 		}
 		ops = append(ops, op)
 	}
-	sc.jobs = jobs
-	sc.payload = payload
+	sc.ops = ops
 
-	// Stage 2 — verify the whole batch at once, fanning out across the
-	// shared worker pool when it is wide enough to pay off.
-	if len(jobs) > 0 {
-		var vstart time.Time
-		if trace.Enabled() {
-			vstart = time.Now()
-		}
-		crypto.VerifyBatch(jobs)
-		for i := range ops {
-			if ops[i].job >= 0 {
-				trace.Event(ops[i].ctx, spanVerify, vstart)
-			}
-		}
-	}
-
-	// Stage 3 — apply in arrival order. SUBMITs against a BatchCore
-	// buffer their WAL append, and a COMMIT marks its BatchCore for the
-	// batch flush. A message kind with server-push semantics
+	// Stage 2 — apply in arrival order. A SUBMIT must name the client
+	// whose connection carried it: the handshake authenticated that
+	// connection, never the identity a message claims. SUBMITs against a
+	// BatchCore buffer their WAL append, and a COMMIT marks its BatchCore
+	// for the batch flush. A message kind with server-push semantics
 	// (GenericCore) is a barrier: the prefix must flush and reply first,
 	// or its handler could push messages that overtake replies owed to
 	// the same client.
@@ -234,28 +188,25 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 		op := &ops[i]
 		switch m := e.msg.(type) {
 		case *wire.Submit:
-			if op.job == jobRejected || (op.job >= 0 && !jobs[op.job].OK) {
-				rejectSubmit(e.sink, e.from)
+			if m.Inv.Client != e.from {
+				rejectSubmit(e.from)
 				continue
 			}
-			if bc, ok := e.sink.sinkCore().(BatchCore); ok {
-				op.reply = bc.HandleSubmitBuffered(op.ctx, e.from, m)
-				op.bc = bc
+			if sc.bc != nil {
+				op.reply = sc.bc.HandleSubmitBuffered(op.ctx, e.from, m)
+				op.durable = true
 			} else {
-				op.reply = e.sink.sinkCore().HandleSubmit(op.ctx, e.from, m)
+				op.reply = sc.core.HandleSubmit(op.ctx, e.from, m)
 			}
 		case *wire.Commit:
 			start := obs.StartTimer()
-			core := e.sink.sinkCore()
-			core.HandleCommit(context.Background(), e.from, m)
+			sc.core.HandleCommit(context.Background(), e.from, m)
 			tmCommitNs.ObserveSince(start)
-			if bc, ok := core.(BatchCore); ok {
-				op.bc = bc
-			}
+			op.durable = sc.bc != nil
 		default:
-			gc, ok := e.sink.sinkCore().(GenericCore)
+			gc, ok := sc.core.(GenericCore)
 			if !ok {
-				e.sink.dropUnknown()
+				sc.sink.dropUnknown()
 				continue
 			}
 			flushAndSend(batch[:i], ops[:i], sc)
@@ -263,60 +214,40 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 		}
 	}
 
-	// Stages 4+5 — flush every touched BatchCore once, then send the
-	// batch's replies coalesced per destination.
+	// Stages 3+4 — flush the BatchCore once if the batch touched it, then
+	// send the batch's replies coalesced per destination.
 	flushAndSend(batch, ops, sc)
 }
 
-// flushAndSend settles every not-yet-done op in the prefix: batch-flush
-// the distinct BatchCores touched (suppressing replies of a core whose
-// flush failed — its clients must observe silence, exactly as from a
+// flushAndSend settles every not-yet-done op in the prefix: flush the
+// BatchCore once if any of them awaits it (suppressing their replies when
+// the flush fails — clients must observe silence, exactly as from a
 // sticky-broken core), end the SUBMITs' spans, then deliver replies
 // grouped by destination in arrival order. Idempotent per op via the done
 // flag, so the mid-batch barrier and the final call compose.
 //
 //faustlint:hotpath
 func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
-	cores := sc.cores[:0]
+	flush := false
 	for i := range ops {
-		op := &ops[i]
-		if op.done || op.bc == nil {
-			continue
-		}
-		seen := false
-		for _, c := range cores {
-			if c == op.bc {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			cores = append(cores, op.bc)
+		if !ops[i].done && ops[i].durable {
+			flush = true
+			break
 		}
 	}
-	sc.cores = cores
-	if len(cores) > 0 {
+	if flush {
 		var fstart time.Time
 		if trace.Enabled() {
 			fstart = time.Now()
 		}
-		failed := sc.failed[:0]
-		for _, bc := range cores {
-			if err := bc.FlushBatch(); err != nil {
-				failed = append(failed, bc)
-			}
-		}
-		sc.failed = failed
+		failed := sc.bc.FlushBatch() != nil
 		for i := range ops {
 			op := &ops[i]
-			if op.done || op.bc == nil {
+			if op.done || !op.durable {
 				continue
 			}
-			for _, fc := range failed {
-				if fc == op.bc {
-					op.reply = nil
-					break
-				}
+			if failed {
+				op.reply = nil
 			}
 			if op.isSubmit {
 				trace.Event(op.ctx, spanWALFsync, fstart)
@@ -350,13 +281,12 @@ func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
 			if oj.done || oj.reply == nil {
 				continue
 			}
-			ej := &batch[j]
-			if ej.sink == e.sink && ej.from == e.from {
+			if batch[j].from == e.from {
 				msgs = append(msgs, oj.reply)
 				oj.done = true
 			}
 		}
 		sc.msgs = msgs
-		e.sink.sendReplies(e.from, msgs)
+		sc.sink.sendReplies(e.from, msgs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"faust/internal/crypto"
+	"faust/internal/obs"
 	"faust/internal/obs/trace"
 	"faust/internal/wire"
 )
@@ -100,12 +101,9 @@ func (c *genCore) HandleMessage(from int, m wire.Message) {
 
 func (c *genCore) AttachPusher(p func(to int, m wire.Message) error) { c.push = p }
 
-// signedSubmit builds a SUBMIT correctly signed by s, claiming identity
-// `from`.
-func signedSubmit(s *crypto.Signer, from int, t int64) *wire.Submit {
-	sub := &wire.Submit{T: t, Inv: wire.Invocation{Client: from, Op: wire.OpWrite, Reg: from}}
-	sub.Inv.SubmitSig = s.Sign(crypto.DomainSubmit, wire.SubmitPayload(sub.Inv.Op, sub.Inv.Reg, t, nil))
-	return sub
+// submitAs builds a write SUBMIT claiming to come from client.
+func submitAs(client int, t int64) *wire.Submit {
+	return &wire.Submit{T: t, Inv: wire.Invocation{Client: client, Op: wire.OpWrite, Reg: client}}
 }
 
 func mustRecvReply(t *testing.T, link Link, wantC int) {
@@ -241,30 +239,33 @@ func TestBatchFlushFailureSuppressesReplies(t *testing.T) {
 }
 
 // TestBatchForgedSignatureMidBatch forms one deterministic batch holding
-// valid, forged and impersonated SUBMITs and requires exactly the valid
-// ones to apply and reply, in order — batching never admits an
-// unverified op, and one bad signature rejects only its own op.
+// SUBMITs that name their own connection's client and SUBMITs that name
+// another client, and requires exactly the former to apply and reply, in
+// order — batching never admits an op under another client's identity,
+// and one impersonating op rejects only itself. (A forged σ from a key
+// holder is the clients' to catch, at line 43 of Algorithm 1.)
 func TestBatchForgedSignatureMidBatch(t *testing.T) {
-	ring, signers := crypto.NewTestKeyring(2, 7)
+	_, signers := crypto.NewTestKeyring(2, 7)
 	core := &recCore{}
 	core.arm()
-	nw := NewNetwork(2, core, WithVerifier(ring))
+	nw := NewNetwork(2, core)
 	defer nw.Stop()
 	link := nw.ClientLink(0)
 
 	rejectsBefore := tmVerifyRejects.Value()
-	if err := link.Send(signedSubmit(signers[0], 0, 0)); err != nil {
+	eventsBefore := obs.Default().Events().Total(obs.EventSubmitReject)
+	if err := link.Send(submitAs(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	<-core.entered
 	for i := 1; i <= 9; i++ {
-		sub := signedSubmit(signers[0], 0, int64(i))
+		sub := submitAs(0, int64(i))
 		switch i {
-		case 5: // forged: signed by the wrong key
-			sub.Inv.SubmitSig = signers[1].Sign(crypto.DomainSubmit,
-				wire.SubmitPayload(sub.Inv.Op, sub.Inv.Reg, sub.T, nil))
-		case 7: // impersonation: valid signature, wrong claimed identity
-			sub = signedSubmit(signers[1], 1, 7)
+		case 5: // impersonation without a signature
+			sub = submitAs(1, 5)
+		case 7: // impersonation replaying client 1's valid signature
+			sub = submitAs(1, 7)
+			sub.Inv.SubmitSig = signers[1].Sign(crypto.DomainSubmit, wire.SubmitPayload(sub.Inv.Op, sub.Inv.Reg, sub.T, nil))
 		}
 		if err := link.Send(sub); err != nil {
 			t.Fatal(err)
@@ -288,20 +289,21 @@ func TestBatchForgedSignatureMidBatch(t *testing.T) {
 	if d := tmVerifyRejects.Value() - rejectsBefore; d != 2 {
 		t.Fatalf("verify rejects = %d, want 2", d)
 	}
+	if d := obs.Default().Events().Total(obs.EventSubmitReject) - eventsBefore; d != 2 {
+		t.Fatalf("submit-reject events = %d, want 2", d)
+	}
 
-	// A lone forged op must be rejected the same way: it is silent, and
-	// the valid op after it still replies.
-	bad := signedSubmit(signers[0], 0, 100)
-	bad.Inv.SubmitSig[0] ^= 0xff
-	if err := link.Send(bad); err != nil {
+	// A lone impersonating op must be rejected the same way: it is
+	// silent, and the valid op after it still replies.
+	if err := link.Send(submitAs(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := link.Send(signedSubmit(signers[0], 0, 101)); err != nil {
+	if err := link.Send(submitAs(0, 101)); err != nil {
 		t.Fatal(err)
 	}
 	mustRecvReply(t, link, 101)
 	if d := tmVerifyRejects.Value() - rejectsBefore; d != 3 {
-		t.Fatalf("verify rejects after the lone forgery = %d, want 3", d)
+		t.Fatalf("verify rejects after the lone impersonation = %d, want 3", d)
 	}
 }
 
@@ -364,15 +366,16 @@ func TestBatchGenericBarrierOrdering(t *testing.T) {
 }
 
 // stressTransport abstracts the two transports for the shared stress
-// test: build a verified server over core, hand out per-client links.
+// test: build a server over core (authenticating hellos on TCP), hand out
+// per-client links.
 type stressTransport struct {
 	name  string
-	setup func(t *testing.T, n int, core ServerCore, ring *crypto.Keyring) []Link
+	setup func(t *testing.T, n int, core ServerCore) []Link
 }
 
 var stressTransports = []stressTransport{
-	{"memory", func(t *testing.T, n int, core ServerCore, ring *crypto.Keyring) []Link {
-		nw := NewNetwork(n, core, WithVerifier(ring))
+	{"memory", func(t *testing.T, n int, core ServerCore) []Link {
+		nw := NewNetwork(n, core)
 		t.Cleanup(nw.Stop)
 		links := make([]Link, n)
 		for i := range links {
@@ -380,11 +383,12 @@ var stressTransports = []stressTransport{
 		}
 		return links
 	}},
-	{"tcp", func(t *testing.T, n int, core ServerCore, ring *crypto.Keyring) []Link {
-		_, addr := startTCP(t, core, WithVerifyKeyring(ring))
+	{"tcp", func(t *testing.T, n int, core ServerCore) []Link {
+		ring, signers := crypto.NewTestKeyring(n, 11)
+		addr := startAuthTCP(t, map[string]ServerCore{DefaultShard: core}, ring)
 		links := make([]Link, n)
 		for i := range links {
-			l, err := DialTCP(addr, i)
+			l, err := DialTCPShard(addr, "", i, WithSigner(signers[i]))
 			if err != nil {
 				t.Fatalf("dial %d: %v", i, err)
 			}
@@ -396,9 +400,10 @@ var stressTransports = []stressTransport{
 }
 
 // TestBatchStressFIFOExactlyOnce floods both transports from 8
-// concurrent clients, with a forged SUBMIT every 10th op, and requires
-// per-client FIFO reply order, exactly-once apply across batch
-// boundaries, and rejection of exactly the forged ops. Run with -race.
+// concurrent clients, every 10th SUBMIT naming the next client instead of
+// the sender, and requires per-client FIFO reply order, exactly-once
+// apply across batch boundaries, and rejection of exactly the
+// impersonating ops. Run with -race.
 func TestBatchStressFIFOExactlyOnce(t *testing.T) {
 	const (
 		clients = 8
@@ -408,9 +413,9 @@ func TestBatchStressFIFOExactlyOnce(t *testing.T) {
 
 	for _, tr := range stressTransports {
 		t.Run(tr.name, func(t *testing.T) {
-			ring, signers := crypto.NewTestKeyring(clients, 11)
 			core := &recCore{}
-			links := tr.setup(t, clients, core, ring)
+			links := tr.setup(t, clients, core)
+			rejectsBefore := tmVerifyRejects.Value()
 
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
@@ -419,9 +424,9 @@ func TestBatchStressFIFOExactlyOnce(t *testing.T) {
 					defer wg.Done()
 					link := links[c]
 					for i := 0; i < ops; i++ {
-						sub := signedSubmit(signers[c], c, int64(i))
+						sub := submitAs(c, int64(i))
 						if forged(i) {
-							sub.Inv.SubmitSig[0] ^= 0xff
+							sub = submitAs((c+1)%clients, int64(i))
 						}
 						if err := link.Send(sub); err != nil {
 							t.Errorf("client %d send %d: %v", c, i, err)
@@ -447,6 +452,10 @@ func TestBatchStressFIFOExactlyOnce(t *testing.T) {
 			wg.Wait()
 			if t.Failed() {
 				return
+			}
+
+			if d := tmVerifyRejects.Value() - rejectsBefore; d != clients*ops/10 {
+				t.Fatalf("verify rejects = %d, want %d", d, clients*ops/10)
 			}
 
 			// Exactly-once, in order, only the valid ops.
@@ -596,7 +605,7 @@ func TestMemoryDrainSpansAfterClose(t *testing.T) {
 func TestTCPDrainSpansAfterClose(t *testing.T) {
 	testDrainSpansAfterClose(t, func(core *recCore) (*fifo[envelope], func(wire.Message) error, func()) {
 		srv, addr := startTCP(t, core)
-		link, err := DialTCP(addr, 0)
+		link, err := DialTCPShard(addr, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

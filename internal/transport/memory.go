@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"faust/internal/crypto"
 	"faust/internal/wire"
 )
 
@@ -24,7 +23,6 @@ type Network struct {
 
 	metrics  bool
 	stats    Stats
-	ring     *crypto.Keyring
 	maxBatch int
 
 	blobs BlobStore // nil = no bulk channel
@@ -65,15 +63,6 @@ func WithDelay(max time.Duration, seed int64) Option {
 		nw.delayMax = max
 		nw.delayRand = rand.New(rand.NewSource(seed))
 	}
-}
-
-// WithVerifier arms server-side SUBMIT-signature verification: the
-// dispatcher checks every SUBMIT against the ring and silently drops
-// forged ones. The protocol's guarantees never depend on this (the
-// server is the untrusted party); it is admission hygiene, and it gives
-// the batch pipeline its parallel verification stage.
-func WithVerifier(ring *crypto.Keyring) Option {
-	return func(nw *Network) { nw.ring = ring }
 }
 
 // WithMaxBatch caps how many queued messages the dispatcher drains per
@@ -178,16 +167,16 @@ func (nw *Network) delayPump(l *memoryLink) {
 // network's inbox. Handlers still run one at a time in arrival order.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
-	dispatchBatches(nw.inbox, nw.maxBatch)
+	dispatchBatches(nw.inbox, nw, nw.maxBatch)
 }
 
-// batchSink implementation: the whole in-memory network is one sink.
+// batchSink implementation: the whole in-memory network is one sink. A
+// client's identity is structural here: a message's sender is the index
+// of the link it was sent on.
 
-func (nw *Network) sinkCore() ServerCore      { return nw.core }
-func (nw *Network) sinkRing() *crypto.Keyring { return nw.ring }
-func (nw *Network) sinkName() string          { return "" }
-func (nw *Network) countOp()                  {}
-func (nw *Network) dropUnknown()              { nw.dropped.Add(1) }
+func (nw *Network) sinkCore() ServerCore { return nw.core }
+func (nw *Network) countOp()             {}
+func (nw *Network) dropUnknown()         { nw.dropped.Add(1) }
 func (nw *Network) sendReplies(to int, msgs []wire.Message) {
 	if nw.metrics {
 		atomic.AddInt64(&nw.stats.ServerToClientMsgs, int64(len(msgs)))
@@ -270,7 +259,7 @@ func (l *memoryLink) Send(m wire.Message) error {
 		atomic.AddInt64(&l.nw.stats.ClientToServerMsgs, 1)
 		atomic.AddInt64(&l.nw.stats.ClientToServerBytes, int64(wire.EncodedSize(m)))
 	}
-	e := envelope{sink: l.nw, from: l.id, msg: m, enq: traceStamp(m)}
+	e := envelope{from: l.id, msg: m, enq: traceStamp(m)}
 	if l.sendQ != nil {
 		if !l.sendQ.push(e) {
 			return ErrClosed

@@ -96,7 +96,7 @@ func TestPerLinkFIFOWithDelays(t *testing.T) {
 			defer wg.Done()
 			link := nw.ClientLink(c)
 			for i := 0; i < 50; i++ {
-				if err := link.Send(&wire.Submit{T: int64(i)}); err != nil {
+				if err := link.Send(&wire.Submit{T: int64(i), Inv: wire.Invocation{Client: c}}); err != nil {
 					t.Errorf("client %d send %d: %v", c, i, err)
 					return
 				}
@@ -127,7 +127,7 @@ func TestHandlerSerialization(t *testing.T) {
 			defer wg.Done()
 			link := nw.ClientLink(c)
 			for i := 0; i < 200; i++ {
-				_ = link.Send(&wire.Submit{T: int64(i)})
+				_ = link.Send(&wire.Submit{T: int64(i), Inv: wire.Invocation{Client: c}})
 				if _, err := link.Recv(); err != nil {
 					return
 				}
@@ -181,7 +181,7 @@ func TestClientCloseSimulatesCrash(t *testing.T) {
 
 	// Other clients are unaffected (wait-freedom of the substrate).
 	healthy := nw.ClientLink(1)
-	if err := healthy.Send(&wire.Submit{T: 5}); err != nil {
+	if err := healthy.Send(&wire.Submit{T: 5, Inv: wire.Invocation{Client: 1}}); err != nil {
 		t.Fatalf("healthy Send: %v", err)
 	}
 	if _, err := healthy.Recv(); err != nil {

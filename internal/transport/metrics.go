@@ -25,7 +25,7 @@ var (
 
 	// Dispatcher-side handler latency: the time one SUBMIT (or COMMIT)
 	// spends in the dispatch pipeline, excluding queueing — for a SUBMIT
-	// that is verify + apply + shared flush, for a COMMIT the bare
+	// that is apply + shared flush, for a COMMIT the bare
 	// handler. Shared by the TCP dispatchers and the in-memory
 	// network's dispatcher so both transports report comparable numbers.
 	tmSubmitNs = obs.Default().Histogram("faust_ustor_op_latency_ns", "op", "submit")
@@ -33,8 +33,9 @@ var (
 
 	// Batched dispatch: how many envelopes each inbox drain took (the
 	// distribution shows how much amortization load actually buys) and
-	// how many SUBMITs the opt-in signature check turned away. Oversized drains pin a trace exemplar on the size
-	// histogram — see observeBatchSize.
+	// how many SUBMITs named another client than their connection.
+	// Oversized drains pin a trace exemplar on the size histogram — see
+	// observeBatchSize.
 	tmBatchSize     = obs.Default().Histogram("faust_dispatch_batch_size")
 	tmVerifyRejects = obs.Default().Counter("faust_verify_reject_total")
 
@@ -56,7 +57,7 @@ func init() {
 	r.Help("faust_transport_handshakes_total", "TCP handshake outcomes")
 	r.Help("faust_ustor_op_latency_ns", "server-side handler latency per dispatched operation, nanoseconds")
 	r.Help("faust_dispatch_batch_size", "envelopes drained per dispatcher batch")
-	r.Help("faust_verify_reject_total", "SUBMITs dropped by dispatcher-side signature verification")
+	r.Help("faust_verify_reject_total", "SUBMITs dropped because they named another client than their connection")
 	r.Help("faust_blob_inflight", "blob-channel requests currently in flight (client side)")
 	r.Help("faust_blob_requests_total", "blob-channel requests served (server side)")
 	r.Help("faust_blob_redials_total", "blob-channel redials after connection failures (client side)")

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,50 +20,66 @@ import (
 // TCP framing: every message is a 4-byte big-endian length followed by the
 // canonical wire encoding. The first frame a client sends is a handshake.
 //
-// Two handshake versions coexist on one listener:
+// The hello is a frame of magic (4 bytes) | client ID (u32) | shard name
+// length (u16) | shard name. The server checks the shard and the ID and
+// answers with one ack frame: status 0 (accepted), or status 1 followed by
+// the reason, so dialers fail fast on unknown shards or out-of-range IDs.
 //
-//	v1 (legacy): exactly 4 bytes carrying the client ID. The connection is
-//	    bound to the default shard and receives no acknowledgment — the
-//	    byte stream is identical to the pre-shard protocol, so old clients
-//	    interoperate unchanged.
-//	v2: a frame of magic (4 bytes) | client ID (u32) | shard name length
-//	    (u16) | shard name. The server answers with one ack frame — a
-//	    status byte (0 = accepted) followed by an error message when
-//	    rejected — so v2 dialers fail fast on unknown shards or
-//	    out-of-range IDs. v2 frames are always at least 10 bytes, so the
-//	    two versions cannot be confused.
+// A shard whose resolver supplies a keyring (VerifierResolver) first
+// challenges the client: status 2 followed by a fresh 32-byte nonce. The
+// client answers with one frame holding its Ed25519 signature under
+// crypto.DomainHello over nonce | client ID (u32) | shard name, and only
+// then gets the 0/1 ack. Binding the shard name keeps a signature for one
+// shard from admitting the signer to another shard with the same keys.
+// This is the server's only identity check: the connection is registered
+// (displacing an earlier connection of the same ID) after it passes, and
+// every message it carries is attributed to the authenticated ID. A shard
+// without a keyring answers the hello with the ack directly.
 //
-// The transport deliberately uses no TLS: the protocol's guarantees come
-// from client-side signatures and are designed for an untrusted server —
-// an attacker on the wire is no stronger than the server itself. Deploy
+// Admission protects honest clients from peers who hold no key; it adds
+// nothing to the protocol's guarantees, which come from client-side
+// signatures and are designed for an untrusted server. The transport
+// deliberately uses no TLS — an attacker on the wire is no stronger than
+// the server itself — so it can take over an authenticated stream. Deploy
 // behind TLS anyway if confidentiality matters; the framing is oblivious.
 
 const maxFrame = 1 << 24 // 16 MiB per message is far beyond protocol needs
 
-// DefaultShard is the shard name legacy (v1) handshakes bind to and the
-// name under which ServeTCP registers its single core.
+// DefaultShard is the shard an empty dial name selects and the name under
+// which ServeTCP registers its single core.
 const DefaultShard = "default"
 
-// helloMagic prefixes every v2 handshake frame.
+// helloMagic prefixes every protocol-connection hello frame.
 var helloMagic = [4]byte{0xFA, 0x57, 'H', '2'}
 
 // blobMagic prefixes the handshake of a bulk blob-channel connection:
 // magic (4 bytes) | shard name length (u16) | shard name. The server
-// answers with the same ack frame as a v2 hello. Blob connections carry
+// answers with the same ack frame as a hello. Blob connections carry
 // only BLOB_* messages, served directly on the connection goroutine —
 // bulk transfers never queue behind the shard dispatcher.
 var blobMagic = [4]byte{0xFA, 0x57, 'B', '1'}
 
 const (
-	legacyHelloLen  = 4
-	v2HelloMinLen   = 10 // magic + id + name length, before the name bytes
+	helloMinLen     = 10 // magic + id + name length, before the name bytes
 	maxShardNameLen = 128
+	// maxHandshakeFrame bounds every frame read before a connection is
+	// admitted (hellos and challenge answers), so an unauthenticated peer
+	// cannot make the server allocate a full maxFrame.
+	maxHandshakeFrame = 256
+	nonceLen          = 32
+)
+
+// Handshake ack status bytes.
+const (
+	ackAccepted  = 0
+	ackRejected  = 1
+	ackChallenge = 2 // followed by a nonceLen-byte nonce
 )
 
 // defaultHandshakeTimeout bounds how long an accepted connection may take
-// to present its hello frame. Without a bound, a half-open connection
-// would pin a goroutine forever (and, before the pre-handshake tracking
-// existed, deadlock Stop).
+// to complete its handshake, challenge answer included. Without a bound, a
+// half-open connection would pin a goroutine forever (and, before the
+// pre-handshake tracking existed, deadlock Stop).
 const defaultHandshakeTimeout = 10 * time.Second
 
 // writeFrame writes a length-prefixed frame as a single Write call so
@@ -76,13 +93,16 @@ func writeFrame(conn net.Conn, payload []byte) error {
 	return err
 }
 
-func readFrame(conn net.Conn) ([]byte, error) {
+func readFrame(conn net.Conn) ([]byte, error) { return readFrameMax(conn, maxFrame) }
+
+// readFrameMax reads one frame, refusing any longer than limit bytes.
+func readFrameMax(conn net.Conn, limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > limit {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	payload := make([]byte, n)
@@ -92,27 +112,43 @@ func readFrame(conn net.Conn) ([]byte, error) {
 	return payload, nil
 }
 
-// parseHello classifies and decodes a handshake frame.
-func parseHello(hello []byte) (shardName string, id int, v2 bool, err error) {
-	if len(hello) == legacyHelloLen {
-		return DefaultShard, int(binary.BigEndian.Uint32(hello)), false, nil
-	}
-	if len(hello) < v2HelloMinLen || !bytes.Equal(hello[:4], helloMagic[:]) {
-		return "", 0, false, fmt.Errorf("transport: malformed handshake frame (%d bytes)", len(hello))
+// parseHello decodes a hello frame.
+func parseHello(hello []byte) (shardName string, id int, err error) {
+	if len(hello) < helloMinLen || !bytes.Equal(hello[:4], helloMagic[:]) {
+		return "", 0, fmt.Errorf("transport: malformed handshake frame (%d bytes)", len(hello))
 	}
 	id = int(binary.BigEndian.Uint32(hello[4:8]))
 	nameLen := int(binary.BigEndian.Uint16(hello[8:10]))
-	if nameLen == 0 || nameLen > maxShardNameLen || len(hello) != v2HelloMinLen+nameLen {
-		return "", 0, true, fmt.Errorf("transport: malformed v2 handshake (name length %d in %d-byte frame)", nameLen, len(hello))
+	if nameLen == 0 || nameLen > maxShardNameLen || len(hello) != helloMinLen+nameLen {
+		return "", 0, fmt.Errorf("transport: malformed handshake (name length %d in %d-byte frame)", nameLen, len(hello))
 	}
-	return string(hello[v2HelloMinLen:]), id, true, nil
+	return string(hello[helloMinLen:]), id, nil
 }
 
-// ShardResolver maps the shard name from a v2 handshake (or DefaultShard
-// for legacy hellos) to the server core that owns it. Implementations may
-// create shards lazily; returning an error rejects the handshake with the
-// error text as the v2 ack message. ResolveShard must return the same core
-// for the same name for the lifetime of the server.
+// helloFrame encodes a hello: magic | client ID (u32) | shard name
+// length (u16) | shard name.
+func helloFrame(shard string, id int) []byte {
+	hello := make([]byte, 0, helloMinLen+len(shard))
+	hello = append(hello, helloMagic[:]...)
+	hello = binary.BigEndian.AppendUint32(hello, uint32(id))
+	hello = binary.BigEndian.AppendUint16(hello, uint16(len(shard)))
+	return append(hello, shard...)
+}
+
+// helloPayload is what a client signs under crypto.DomainHello to answer
+// a challenge: nonce | client ID (u32) | shard name.
+func helloPayload(nonce []byte, id int, shard string) []byte {
+	p := make([]byte, 0, len(nonce)+4+len(shard))
+	p = append(p, nonce...)
+	p = binary.BigEndian.AppendUint32(p, uint32(id))
+	return append(p, shard...)
+}
+
+// ShardResolver maps the shard name from a hello to the server core that
+// owns it. Implementations may create shards lazily; returning an error
+// rejects the handshake with the error text as the ack message.
+// ResolveShard must return the same core for the same name for the
+// lifetime of the server.
 type ShardResolver interface {
 	ResolveShard(name string) (ServerCore, error)
 }
@@ -153,16 +189,6 @@ func WithHandshakeTimeout(d time.Duration) TCPOption {
 	return func(s *TCPServer) { s.handshakeTimeout = d }
 }
 
-// WithSharedDispatcher routes every shard through one global dispatcher
-// goroutine instead of one per shard, restoring the pre-shard serialization
-// across tenants. It exists as the ablation baseline for the multi-shard
-// scaling experiment (E17); production servers want the default. The
-// batched pipeline runs here too: one drained batch may span several
-// shards, each op applying against (and flushing) its own shard's core.
-func WithSharedDispatcher() TCPOption {
-	return func(s *TCPServer) { s.shared = true }
-}
-
 // WithTCPMaxBatch caps how many queued envelopes a dispatcher drains per
 // batch (default DefaultMaxBatch); 1 makes every op its own batch. Wired to
 // the faust-server -max-batch flag.
@@ -170,19 +196,11 @@ func WithTCPMaxBatch(n int) TCPOption {
 	return func(s *TCPServer) { s.maxBatch = n }
 }
 
-// WithVerifyKeyring arms server-side SUBMIT-signature verification with
-// one ring for every shard. A resolver implementing VerifierResolver
-// overrides it per shard. Admission hygiene only: the protocol's
-// guarantees remain client-enforced.
-func WithVerifyKeyring(ring *crypto.Keyring) TCPOption {
-	return func(s *TCPServer) { s.ring = ring }
-}
-
 // VerifierResolver is an optional ShardResolver extension supplying a
-// per-shard public keyring for dispatcher-side SUBMIT verification. It is
-// consulted once per shard-runtime creation, after ResolveShard; nil
-// means this shard falls back to the server-wide WithVerifyKeyring ring
-// (or no verification).
+// per-shard public keyring. A shard with a keyring challenges every hello
+// and admits only a client that signs the challenge with its own key. It
+// is consulted once per shard-runtime creation, after ResolveShard; nil
+// leaves the shard's handshake unauthenticated.
 type VerifierResolver interface {
 	ResolveVerifier(name string) *crypto.Keyring
 }
@@ -245,11 +263,9 @@ func (c *serverConn) writeMsg(m wire.Message) error {
 }
 
 // shardRT is the per-shard runtime inside a TCPServer: the resolved core,
-// its inbox (own queue per shard, or the server's shared one), the
-// optional verification keyring, and the connection registry for
-// push-backs. It is the TCP transport's batchSink: messages arrive in
-// envelopes pointing at their shardRT, so one (possibly shared)
-// dispatcher serves any number of shards.
+// its inbox, the optional keyring that authenticates hellos, and the
+// connection registry for push-backs. It is the TCP transport's
+// batchSink: messages arrive in envelopes pointing at their shardRT.
 type shardRT struct {
 	name  string
 	core  ServerCore
@@ -274,11 +290,9 @@ func (rt *shardRT) push(to int, m wire.Message) error {
 
 // batchSink implementation.
 
-func (rt *shardRT) sinkCore() ServerCore      { return rt.core }
-func (rt *shardRT) sinkRing() *crypto.Keyring { return rt.ring }
-func (rt *shardRT) sinkName() string          { return rt.name }
-func (rt *shardRT) countOp()                  { rt.ops.Inc() }
-func (rt *shardRT) dropUnknown()              {}
+func (rt *shardRT) sinkCore() ServerCore { return rt.core }
+func (rt *shardRT) countOp()             { rt.ops.Inc() }
+func (rt *shardRT) dropUnknown()         {}
 
 // sendReplies writes a batch's replies for one client as a single framed
 // write: one connection-lock round and one syscall per destination per
@@ -301,10 +315,7 @@ type TCPServer struct {
 	resolver         ShardResolver
 	ln               net.Listener
 	handshakeTimeout time.Duration
-	shared           bool
-	sharedInbox      *fifo[envelope] // non-nil iff shared
 	maxBatch         int
-	ring             *crypto.Keyring // server-wide verification fallback
 
 	mu        sync.Mutex
 	stopped   bool
@@ -353,11 +364,6 @@ func ServeTCPSharded(ln net.Listener, resolver ShardResolver, opts ...TCPOption)
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.shared {
-		s.sharedInbox = newFIFO[envelope]()
-		s.wg.Add(1)
-		go s.dispatchQueue(s.sharedInbox)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -417,12 +423,8 @@ func (s *TCPServer) Stop() {
 		_ = c.Close()
 	}
 
-	if s.sharedInbox != nil {
-		s.sharedInbox.close()
-	} else {
-		for _, rt := range rts {
-			rt.inbox.close()
-		}
+	for _, rt := range rts {
+		rt.inbox.close()
 	}
 	s.wg.Wait()
 }
@@ -510,19 +512,12 @@ func (s *TCPServer) createShard(name string) (*shardRT, error) {
 	rt := &shardRT{
 		name:  name,
 		core:  core,
-		inbox: s.sharedInbox,
-		ring:  s.ring,
+		inbox: newFIFO[envelope](),
 		ops:   shardOpsCounter(name),
 		conns: make(map[int]*serverConn),
 	}
 	if vr, ok := s.resolver.(VerifierResolver); ok {
-		if ring := vr.ResolveVerifier(name); ring != nil {
-			rt.ring = ring
-		}
-	}
-	ownInbox := rt.inbox == nil
-	if ownInbox {
-		rt.inbox = newFIFO[envelope]()
+		rt.ring = vr.ResolveVerifier(name)
 	}
 	if gc, ok := core.(GenericCore); ok {
 		gc.AttachPusher(rt.push)
@@ -533,10 +528,8 @@ func (s *TCPServer) createShard(name string) (*shardRT, error) {
 		return nil, errStopped
 	}
 	s.shards[name] = rt
-	if ownInbox {
-		s.wg.Add(1)
-		go s.dispatchQueue(rt.inbox)
-	}
+	s.wg.Add(1)
+	go s.dispatchQueue(rt)
 	s.mu.Unlock()
 	return rt, nil
 }
@@ -557,25 +550,30 @@ func checkID(name string, core ServerCore, id int) error {
 	return nil
 }
 
-// writeAck sends the v2 handshake acknowledgment: status 0, or status 1
+// writeAck sends the handshake acknowledgment: status 0, or status 1
 // plus the rejection reason.
 func writeAck(conn net.Conn, rejection error) error {
 	if rejection == nil {
-		return writeFrame(conn, []byte{0})
+		return writeFrame(conn, []byte{ackAccepted})
 	}
 	msg := rejection.Error()
 	buf := make([]byte, 1+len(msg))
-	buf[0] = 1
+	buf[0] = ackRejected
 	copy(buf[1:], msg)
 	return writeFrame(conn, buf)
 }
 
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
+// setHandshakeDeadline bounds the next handshake read.
+func (s *TCPServer) setHandshakeDeadline(conn net.Conn) {
 	if s.handshakeTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
 	}
-	hello, err := readFrame(conn)
+}
+
+func (s *TCPServer) serveConn(conn net.Conn) {
+	defer s.wg.Done()
+	s.setHandshakeDeadline(conn)
+	hello, err := readFrameMax(conn, maxHandshakeFrame)
 	if err != nil {
 		s.dropPending(conn)
 		_ = conn.Close()
@@ -586,27 +584,15 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.serveBlobConn(conn, hello)
 		return
 	}
-	name, id, v2, err := parseHello(hello)
+	name, id, err := parseHello(hello)
 	if err != nil {
 		s.dropPending(conn)
 		_ = conn.Close()
 		return
 	}
-	var rt *shardRT
-	// Preflight first, when the resolver supports it: a rejected handshake
-	// must not be able to force shard instantiation.
-	if pf, ok := s.resolver.(ShardPreflight); ok {
-		err = pf.PreflightShard(name, id)
-	}
-	if err == nil {
-		if rt, err = s.shardFor(name); err == nil {
-			err = checkID(name, rt.core, id)
-		}
-	}
-	if v2 {
-		if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
-			err = ackErr
-		}
+	rt, err := s.admit(conn, name, id)
+	if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
+		err = ackErr
 	}
 	if err != nil {
 		tmHandshakeRej.Inc()
@@ -645,15 +631,65 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if !rt.inbox.push(envelope{sink: rt, from: id, msg: msg, enq: traceStamp(msg)}) {
+		if !rt.inbox.push(envelope{from: id, msg: msg, enq: traceStamp(msg)}) {
 			return
 		}
 	}
 }
 
+// admit runs a hello's checks in order: preflight (when the resolver
+// supports it, so a rejected handshake cannot force shard instantiation),
+// shard resolution, the ID range and, on a shard with a keyring, the
+// signed challenge. The connection is still pending throughout, so Stop
+// closes it wherever it waits.
+func (s *TCPServer) admit(conn net.Conn, name string, id int) (*shardRT, error) {
+	if pf, ok := s.resolver.(ShardPreflight); ok {
+		if err := pf.PreflightShard(name, id); err != nil {
+			return nil, err
+		}
+	}
+	rt, err := s.shardFor(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkID(name, rt.core, id); err != nil {
+		return nil, err
+	}
+	if rt.ring != nil {
+		if err := s.challenge(conn, rt.ring, name, id); err != nil {
+			return nil, err
+		}
+	}
+	return rt, nil
+}
+
+// challenge sends a fresh nonce and checks that the answer is client id's
+// signature over it, under the handshake deadline.
+func (s *TCPServer) challenge(conn net.Conn, ring *crypto.Keyring, name string, id int) error {
+	msg := make([]byte, 1+nonceLen)
+	msg[0] = ackChallenge
+	nonce := msg[1:]
+	if _, err := rand.Read(nonce); err != nil {
+		return fmt.Errorf("transport: drawing a handshake nonce: %w", err)
+	}
+	if err := writeFrame(conn, msg); err != nil {
+		return fmt.Errorf("transport: sending the handshake challenge: %w", err)
+	}
+	s.setHandshakeDeadline(conn)
+	sig, err := readFrameMax(conn, maxHandshakeFrame)
+	_ = conn.SetReadDeadline(time.Time{})
+	if err != nil {
+		return fmt.Errorf("transport: reading the hello signature: %w", err)
+	}
+	if !ring.Verify(id, sig, crypto.DomainHello, helloPayload(nonce, id, name)) {
+		return fmt.Errorf("transport: hello signature of client %d for shard %q does not verify", id, name)
+	}
+	return nil
+}
+
 // parseBlobHello decodes a blob-channel handshake frame.
 func parseBlobHello(hello []byte) (shardName string, err error) {
-	if len(hello) < v2HelloMinLen-4 || !bytes.Equal(hello[:4], blobMagic[:]) {
+	if len(hello) < helloMinLen-4 || !bytes.Equal(hello[:4], blobMagic[:]) {
 		return "", fmt.Errorf("transport: malformed blob handshake frame (%d bytes)", len(hello))
 	}
 	nameLen := int(binary.BigEndian.Uint16(hello[4:6]))
@@ -760,12 +796,11 @@ func (s *TCPServer) register(rt *shardRT, id int, sc *serverConn) bool {
 	return true
 }
 
-// dispatchQueue is a shard's event loop (or the global one under
-// WithSharedDispatcher): the shared batched engine over this inbox.
-// Handlers still run one at a time in arrival order.
-func (s *TCPServer) dispatchQueue(q *fifo[envelope]) {
+// dispatchQueue is a shard's event loop: the shared batched engine over
+// its inbox. Handlers still run one at a time in arrival order.
+func (s *TCPServer) dispatchQueue(rt *shardRT) {
 	defer s.wg.Done()
-	dispatchBatches(q, s.maxBatch)
+	dispatchBatches(rt.inbox, rt, s.maxBatch)
 }
 
 // tcpLink is the client-side Link over one TCP connection.
@@ -777,62 +812,88 @@ type tcpLink struct {
 
 var _ Link = (*tcpLink)(nil)
 
-// DialTCP connects client id to a TCPServer at addr with the legacy (v1)
-// handshake, binding the connection to the server's default shard. The
-// server sends no acknowledgment; a rejected ID (out of the shard's range)
-// surfaces as an error on the first Recv.
-func DialTCP(addr string, id int) (Link, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
-	}
-	var hello [legacyHelloLen]byte
-	binary.BigEndian.PutUint32(hello[:], uint32(id))
-	if err := writeFrame(conn, hello[:]); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
-	return &tcpLink{conn: conn}, nil
+// DialOption configures DialTCPShard.
+type DialOption func(*dialConfig)
+
+type dialConfig struct {
+	signer *crypto.Signer
+}
+
+// WithSigner gives the dialer the client's key, with which it answers the
+// challenge of a shard that authenticates its connections. The signer
+// must belong to the dialed client ID.
+func WithSigner(s *crypto.Signer) DialOption {
+	return func(c *dialConfig) { c.signer = s }
 }
 
 // DialTCPShard connects client id to the named shard of a TCPServer at
-// addr with the v2 handshake and waits for the server's acknowledgment, so
-// unknown shards and out-of-range IDs fail here rather than on the first
-// operation. An empty shard name dials the default shard.
-func DialTCPShard(addr, shard string, id int) (Link, error) {
+// addr and waits for the server's acknowledgment, so unknown shards,
+// out-of-range IDs and failed authentication surface here rather than on
+// the first operation. An empty shard name dials the default shard. A
+// shard that authenticates connections requires WithSigner.
+func DialTCPShard(addr, shard string, id int, opts ...DialOption) (Link, error) {
+	var cfg dialConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if shard == "" {
 		shard = DefaultShard
 	}
 	if len(shard) > maxShardNameLen {
 		return nil, fmt.Errorf("transport: shard name %d bytes long, limit %d", len(shard), maxShardNameLen)
 	}
+	if cfg.signer != nil && cfg.signer.ID() != id {
+		return nil, fmt.Errorf("transport: signer of client %d cannot dial as client %d", cfg.signer.ID(), id)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	hello := make([]byte, 0, v2HelloMinLen+len(shard))
-	hello = append(hello, helloMagic[:]...)
-	hello = binary.BigEndian.AppendUint32(hello, uint32(id))
-	hello = binary.BigEndian.AppendUint16(hello, uint16(len(shard)))
-	hello = append(hello, shard...)
-	if err := writeFrame(conn, hello); err != nil {
+	if err := clientHandshake(conn, shard, id, cfg.signer); err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+		return nil, err
+	}
+	return &tcpLink{conn: conn}, nil
+}
+
+// clientHandshake sends the hello, answers a challenge if the server
+// sends one, and reads the final ack.
+func clientHandshake(conn net.Conn, shard string, id int, signer *crypto.Signer) error {
+	if err := writeFrame(conn, helloFrame(shard, id)); err != nil {
+		return fmt.Errorf("transport: handshake: %w", err)
 	}
 	ack, err := readFrame(conn)
 	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake ack: %w", err)
+		return fmt.Errorf("transport: handshake ack: %w", err)
 	}
+	if len(ack) > 0 && ack[0] == ackChallenge {
+		if len(ack) != 1+nonceLen {
+			return fmt.Errorf("transport: malformed handshake challenge (%d bytes)", len(ack))
+		}
+		if signer == nil {
+			return fmt.Errorf("transport: shard %q authenticates its clients, and no signer was given for client %d", shard, id)
+		}
+		sig := signer.Sign(crypto.DomainHello, helloPayload(ack[1:], id, shard))
+		if err := writeFrame(conn, sig); err != nil {
+			return fmt.Errorf("transport: handshake signature: %w", err)
+		}
+		if ack, err = readFrame(conn); err != nil {
+			return fmt.Errorf("transport: handshake ack: %w", err)
+		}
+	}
+	return ackError(ack, "handshake")
+}
+
+// ackError interprets a final ack frame: nil when the server accepted,
+// its reason otherwise.
+func ackError(ack []byte, what string) error {
 	if len(ack) < 1 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: empty handshake ack")
+		return fmt.Errorf("transport: empty %s ack", what)
 	}
-	if ack[0] != 0 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: server rejected handshake: %s", ack[1:])
+	if ack[0] != ackAccepted {
+		return fmt.Errorf("transport: server rejected %s: %s", what, ack[1:])
 	}
-	return &tcpLink{conn: conn}, nil
+	return nil
 }
 
 // DialTCPBlob opens a bulk blob channel to the named shard of a
@@ -867,13 +928,9 @@ func DialTCPBlob(addr, shard string) (BlobChannel, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: blob handshake ack: %w", err)
 	}
-	if len(ack) < 1 {
+	if err := ackError(ack, "blob handshake"); err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("transport: empty blob handshake ack")
-	}
-	if ack[0] != 0 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: server rejected blob channel: %s", ack[1:])
+		return nil, err
 	}
 	c := &tcpBlobChannel{conn: conn, pending: make(map[uint32]chan wire.Message)}
 	go c.readLoop()

@@ -1,11 +1,17 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"faust/internal/crypto"
+	"faust/internal/obs"
 	"faust/internal/wire"
 )
 
@@ -23,7 +29,7 @@ func startTCP(t *testing.T, core ServerCore, opts ...TCPOption) (*TCPServer, str
 func TestTCPRoundTrip(t *testing.T) {
 	core := &echoCore{}
 	_, addr := startTCP(t, core)
-	link, err := DialTCP(addr, 0)
+	link, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -43,13 +49,13 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestTCPFIFOPerClient(t *testing.T) {
 	core := &echoCore{}
 	_, addr := startTCP(t, core)
-	link, err := DialTCP(addr, 3)
+	link, err := DialTCPShard(addr, "", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer link.Close()
 	for i := 0; i < 50; i++ {
-		if err := link.Send(&wire.Submit{T: int64(i)}); err != nil {
+		if err := link.Send(&wire.Submit{T: int64(i), Inv: wire.Invocation{Client: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,14 +78,14 @@ func TestTCPMultipleClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			link, err := DialTCP(addr, c)
+			link, err := DialTCPShard(addr, "", c)
 			if err != nil {
 				t.Errorf("client %d dial: %v", c, err)
 				return
 			}
 			defer link.Close()
 			for i := 0; i < 20; i++ {
-				if err := link.Send(&wire.Submit{T: int64(i)}); err != nil {
+				if err := link.Send(&wire.Submit{T: int64(i), Inv: wire.Invocation{Client: c}}); err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}
@@ -101,7 +107,7 @@ func TestTCPMultipleClients(t *testing.T) {
 func TestTCPCommitDelivered(t *testing.T) {
 	core := &echoCore{}
 	_, addr := startTCP(t, core)
-	link, err := DialTCP(addr, 0)
+	link, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestTCPCommitDelivered(t *testing.T) {
 func TestTCPRecvFailsAfterStop(t *testing.T) {
 	core := &echoCore{}
 	srv, addr := startTCP(t, core)
-	link, err := DialTCP(addr, 0)
+	link, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestTCPRecvFailsAfterStop(t *testing.T) {
 }
 
 func TestTCPDialUnreachable(t *testing.T) {
-	if _, err := DialTCP("127.0.0.1:1", 0); err == nil {
+	if _, err := DialTCPShard("127.0.0.1:1", "", 0); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -222,7 +228,7 @@ func TestTCPHandshakeDeadline(t *testing.T) {
 // connections used to stay in the registry forever.
 func TestTCPConnCleanup(t *testing.T) {
 	srv, addr := startTCP(t, &echoCore{})
-	link, err := DialTCP(addr, 0)
+	link, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestTCPConnCleanup(t *testing.T) {
 // evict the second from the registry.
 func TestTCPDuplicateHandshake(t *testing.T) {
 	srv, addr := startTCP(t, &echoCore{})
-	link1, err := DialTCP(addr, 0)
+	link1, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +263,7 @@ func TestTCPDuplicateHandshake(t *testing.T) {
 	if _, err := link1.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	link2, err := DialTCP(addr, 0)
+	link2, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,30 +294,20 @@ func TestTCPDuplicateHandshake(t *testing.T) {
 func TestTCPOutOfRangeID(t *testing.T) {
 	srv, addr := startTCP(t, &sizedEchoCore{n: 2})
 
-	// Legacy handshake: no ack; the server just closes the conn.
-	link, err := DialTCP(addr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	if _, err := link.Recv(); err == nil {
-		t.Fatal("server accepted out-of-range legacy id 7")
+	// Rejected in the ack, so Dial itself fails.
+	if _, err := DialTCPShard(addr, DefaultShard, 7); err == nil {
+		t.Fatal("DialTCPShard accepted out-of-range id 7")
 	}
 	if got := srv.ActiveConns(); got != 0 {
 		t.Fatalf("ActiveConns = %d after rejected handshake, want 0", got)
 	}
-
-	// v2 handshake: rejected in the ack, so Dial itself fails.
-	if _, err := DialTCPShard(addr, DefaultShard, 7); err == nil {
-		t.Fatal("DialTCPShard accepted out-of-range id 7")
-	}
-	// In-range v2 dial works against the same server.
+	// An in-range dial works against the same server.
 	ok, err := DialTCPShard(addr, DefaultShard, 1)
 	if err != nil {
-		t.Fatalf("in-range v2 dial: %v", err)
+		t.Fatalf("in-range dial: %v", err)
 	}
 	defer ok.Close()
-	if err := ok.Send(&wire.Submit{T: 5}); err != nil {
+	if err := ok.Send(&wire.Submit{T: 5, Inv: wire.Invocation{Client: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ok.Recv(); err != nil {
@@ -319,7 +315,7 @@ func TestTCPOutOfRangeID(t *testing.T) {
 	}
 }
 
-// TestTCPUnknownShardRejected: the v2 ack carries the resolver's error.
+// TestTCPUnknownShardRejected: the ack carries the resolver's error.
 func TestTCPUnknownShardRejected(t *testing.T) {
 	_, addr := startTCP(t, &echoCore{})
 	if _, err := DialTCPShard(addr, "no-such-shard", 0); err == nil {
@@ -348,7 +344,7 @@ var _ GenericCore = (*pushCore)(nil)
 func TestTCPConcurrentPushIntegrity(t *testing.T) {
 	core := &pushCore{}
 	_, addr := startTCP(t, core) // ServeTCP attaches the pusher before returning
-	link, err := DialTCP(addr, 0)
+	link, err := DialTCPShard(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,5 +451,202 @@ func TestTCPShardedRouting(t *testing.T) {
 	coreB.mu.Unlock()
 	if nA != 10 || nB != 10 {
 		t.Fatalf("submit counts = %d/%d, want 10/10", nA, nB)
+	}
+}
+
+// authShards is a static resolver whose shards all authenticate hellos
+// against one keyring.
+type authShards struct {
+	ShardResolver
+	ring *crypto.Keyring
+}
+
+func (a authShards) ResolveVerifier(string) *crypto.Keyring { return a.ring }
+
+// startAuthTCP serves shards behind hello authentication against ring.
+func startAuthTCP(t *testing.T, shards map[string]ServerCore, ring *crypto.Keyring, opts ...TCPOption) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := ServeTCPSharded(ln, authShards{StaticShards(shards), ring}, opts...)
+	t.Cleanup(srv.Stop)
+	return ln.Addr().String()
+}
+
+// rawChallenge sends a hello on a fresh connection and returns the
+// connection with the server's challenge nonce.
+func rawChallenge(t *testing.T, addr, shard string, id int) (net.Conn, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(conn, helloFrame(shard, id)); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("reading the challenge: %v", err)
+	}
+	if len(ch) != 1+nonceLen || ch[0] != ackChallenge {
+		t.Fatalf("got %v, want a challenge frame", ch)
+	}
+	return conn, ch[1:]
+}
+
+// TestTCPHelloAuthentication covers the challenge-response hello: who is
+// admitted, who is refused (a peer that never answers included), that
+// every refusal is counted and logged, and that a keyless shard's
+// handshake keeps its one-frame ack.
+func TestTCPHelloAuthentication(t *testing.T) {
+	ring, signers := crypto.NewTestKeyring(2, 41)
+	addr := startAuthTCP(t, map[string]ServerCore{"a": &echoCore{}, "b": &echoCore{}}, ring,
+		WithHandshakeTimeout(100*time.Millisecond))
+	sign := func(id int, nonce []byte, shard string) []byte {
+		return signers[id].Sign(crypto.DomainHello, helloPayload(nonce, id, shard))
+	}
+
+	// A signature accepted once, kept for the replay case.
+	conn, oldNonce := rawChallenge(t, addr, "a", 0)
+	oldSig := sign(0, oldNonce, "a")
+	if err := writeFrame(conn, oldSig); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := readFrame(conn); err != nil || !bytes.Equal(ack, []byte{ackAccepted}) {
+		t.Fatalf("correctly signed raw hello: ack %q, %v", ack, err)
+	}
+
+	rawAnswer := func(answer func(conn net.Conn, nonce []byte)) func(t *testing.T) error {
+		return func(t *testing.T) error {
+			conn, nonce := rawChallenge(t, addr, "b", 0)
+			answer(conn, nonce)
+			ack, err := readFrame(conn)
+			if err != nil {
+				return fmt.Errorf("no ack: %w", err)
+			}
+			if ack[0] != ackAccepted {
+				return fmt.Errorf("rejected: %s", ack[1:])
+			}
+			return nil
+		}
+	}
+	answerWith := func(frame []byte) func(t *testing.T) error {
+		return rawAnswer(func(conn net.Conn, _ []byte) { _ = writeFrame(conn, frame) })
+	}
+	cases := []struct {
+		name    string
+		attempt func(t *testing.T) error
+		errHas  string // "" = accepted
+	}{
+		{"correct signer", func(t *testing.T) error {
+			link, err := DialTCPShard(addr, "b", 1, WithSigner(signers[1]))
+			if err != nil {
+				return err
+			}
+			defer link.Close()
+			if err := link.Send(&wire.Submit{T: 4, Inv: wire.Invocation{Client: 1}}); err != nil {
+				return err
+			}
+			_, err = link.Recv()
+			return err
+		}, ""},
+		{"no signer", func(t *testing.T) error {
+			_, err := DialTCPShard(addr, "b", 1)
+			return err
+		}, "no signer"},
+		{"another id's key", rawAnswer(func(conn net.Conn, nonce []byte) {
+			_ = writeFrame(conn, signers[1].Sign(crypto.DomainHello, helloPayload(nonce, 0, "b")))
+		}), "does not verify"},
+		{"replayed signature", func(t *testing.T) error {
+			conn, _ := rawChallenge(t, addr, "a", 0)
+			_ = writeFrame(conn, oldSig)
+			ack, err := readFrame(conn)
+			if err != nil {
+				return err
+			}
+			if ack[0] != ackAccepted {
+				return fmt.Errorf("rejected: %s", ack[1:])
+			}
+			return nil
+		}, "does not verify"},
+		{"shard-a signature at shard b", rawAnswer(func(conn net.Conn, nonce []byte) {
+			_ = writeFrame(conn, sign(0, nonce, "a"))
+		}), "does not verify"},
+		{"0-byte answer", answerWith(nil), "does not verify"},
+		{"63-byte answer", answerWith(make([]byte, 63)), "does not verify"},
+		{"65-byte answer", answerWith(make([]byte, 65)), "does not verify"},
+		{"oversized answer", answerWith(make([]byte, maxHandshakeFrame+1)), "exceeds limit"},
+		{"oversized header", rawAnswer(func(conn net.Conn, _ []byte) {
+			_, _ = conn.Write([]byte{0xff, 0xff, 0xff, 0xff})
+		}), "exceeds limit"},
+		{"no answer", rawAnswer(func(net.Conn, []byte) {}), "timeout"},
+		{"no answer, no deadline, Stop", func(t *testing.T) error {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := ServeTCPSharded(ln, authShards{StaticShards(map[string]ServerCore{"a": &echoCore{}}), ring},
+				WithHandshakeTimeout(0))
+			conn, _ := rawChallenge(t, ln.Addr().String(), "a", 0)
+			done := make(chan struct{})
+			go func() {
+				srv.Stop()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop hung on a connection waiting at the challenge")
+			}
+			if _, err := readFrame(conn); err == nil {
+				t.Fatal("connection survived Stop")
+			}
+			return errors.New("closed by Stop")
+		}, "closed by Stop"},
+		{"keyless shard acks with {0}", func(t *testing.T) error {
+			_, addr := startTCP(t, &echoCore{})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeFrame(conn, helloFrame(DefaultShard, 0)); err != nil {
+				t.Fatal(err)
+			}
+			ack, err := readFrame(conn)
+			if err != nil || !bytes.Equal(ack, []byte{ackAccepted}) {
+				t.Fatalf("keyless ack = %v, %v; want [0]", ack, err)
+			}
+			return nil
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rej0 := tmHandshakeRej.Value()
+			ev0 := obs.Default().Events().Total(obs.EventPreflightReject)
+			err := tc.attempt(t)
+			if tc.errHas == "" {
+				if err != nil {
+					t.Fatalf("want accepted, got %v", err)
+				}
+				if d := tmHandshakeRej.Value() - rej0; d != 0 {
+					t.Fatalf("accepted hello counted %d rejections", d)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.errHas)
+			}
+			// The server counts a rejection after sending its ack, and a
+			// client-side refusal only once the server sees the close.
+			waitFor(t, 2*time.Second, func() bool {
+				return tmHandshakeRej.Value()-rej0 == 1 &&
+					obs.Default().Events().Total(obs.EventPreflightReject)-ev0 == 1
+			}, "rejection not counted exactly once as a handshake rejection and a preflight-reject event")
+		})
 	}
 }

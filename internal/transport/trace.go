@@ -17,7 +17,6 @@ const (
 	spanSrvSubmit = "srv.submit"
 	spanSrvCommit = "srv.commit"
 	spanQueue     = "queue"
-	spanVerify    = "verify"
 	spanWALFsync  = "wal.fsync"
 	spanBlobPut   = "srv.blob.put"
 	spanBlobGet   = "srv.blob.get"

@@ -129,14 +129,11 @@ func (q *queue) close() {
 	q.cond.Broadcast()
 }
 
-// envelope tags a message with its sender and destination for a server
-// inbox. sink is the transport-specific runtime (a TCP shard, the
-// in-memory network) the batched dispatcher applies the message against —
-// one inbox may serve several sinks under a shared dispatcher. enq is
-// the enqueue stamp for the dispatcher queue-wait span; it is zero when
+// envelope tags a message with its sender for a server inbox; every
+// inbox belongs to one batchSink (a TCP shard, the in-memory network). enq
+// is the enqueue stamp for the dispatcher queue-wait span; it is zero when
 // tracing is off so the disabled path never reads the clock.
 type envelope struct {
-	sink batchSink
 	from int
 	msg  wire.Message
 	enq  time.Time

@@ -35,7 +35,7 @@ func startPersistentTCP(t *testing.T, dir string, n int, opts store.Options) (*t
 func dialAll(t *testing.T, addr string, clients []*ustor.Client) {
 	t.Helper()
 	for i, c := range clients {
-		link, err := transport.DialTCP(addr, i)
+		link, err := transport.DialTCPShard(addr, "", i)
 		if err != nil {
 			t.Fatalf("client %d dial: %v", i, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +16,8 @@ import (
 	"faust/internal/store"
 	"faust/internal/transport"
 	"faust/internal/ustor"
+	"faust/internal/version"
+	"faust/internal/wire"
 )
 
 // TestTCPEndToEndUSTOR runs the USTOR protocol over a real TCP loopback
@@ -31,7 +34,7 @@ func TestTCPEndToEndUSTOR(t *testing.T) {
 
 	clients := make([]*ustor.Client, n)
 	for i := 0; i < n; i++ {
-		link, err := transport.DialTCP(ln.Addr().String(), i)
+		link, err := transport.DialTCPShard(ln.Addr().String(), "", i)
 		if err != nil {
 			t.Fatalf("client %d dial: %v", i, err)
 		}
@@ -99,7 +102,7 @@ func TestTCPEndToEndFAUSTStability(t *testing.T) {
 	}
 	clients := make([]*faustproto.Client, n)
 	for i := 0; i < n; i++ {
-		link, err := transport.DialTCP(ln.Addr().String(), i)
+		link, err := transport.DialTCPShard(ln.Addr().String(), "", i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,10 +141,9 @@ func TestTCPEndToEndFAUSTStability(t *testing.T) {
 // TestTCPMultiShardIsolation deploys a multi-tenant server: three shards
 // (the default one plus two persistent tenants) behind one listener. It
 // proves (1) shards are fully isolated — the same client identity writes
-// different values into different shards and reads them back unmixed,
+// different values into different shards and reads them back unmixed, and
 // (2) each persistent shard keeps its own data directory and recovers its
-// own state across a restart, and (3) legacy single-tenant clients
-// interoperate with v2 clients through the default shard.
+// own state across a restart.
 func TestTCPMultiShardIsolation(t *testing.T) {
 	const n = 2
 	base := t.TempDir()
@@ -176,24 +178,16 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 	router := newRouter()
 	srv, addr := serve(router)
 
-	// The same identity (0) lives in three shards at once; each instance
+	// The same identity (0) lives in two shards at once; each instance
 	// is an independent protocol participant.
 	alpha0 := ustor.NewClient(0, ring, signers[0], dialShard(addr, "alpha", 0))
 	beta0 := ustor.NewClient(0, ring, signers[0], dialShard(addr, "beta", 0))
-	legacyLink, err := transport.DialTCP(addr, 0) // legacy v1 hello -> default shard
-	if err != nil {
-		t.Fatal(err)
-	}
-	def0 := ustor.NewClient(0, ring, signers[0], legacyLink)
 
 	if err := alpha0.Write([]byte("alpha-secret")); err != nil {
 		t.Fatalf("alpha write: %v", err)
 	}
 	if err := beta0.Write([]byte("beta-value")); err != nil {
 		t.Fatalf("beta write: %v", err)
-	}
-	if err := def0.Write([]byte("default-value")); err != nil {
-		t.Fatalf("legacy write: %v", err)
 	}
 
 	// Cross-shard isolation: register 0 of each shard holds that shard's
@@ -205,13 +199,6 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 	}
 	if v, err := beta1.Read(0); err != nil || string(v) != "beta-value" {
 		t.Fatalf("beta read = %q, %v; want beta-value", v, err)
-	}
-
-	// Legacy/v2 interop on the default shard: a v2 client naming
-	// "default" shares state with the legacy-hello client.
-	def1 := ustor.NewClient(1, ring, signers[1], dialShard(addr, transport.DefaultShard, 1))
-	if v, err := def1.Read(0); err != nil || string(v) != "default-value" {
-		t.Fatalf("default-shard read = %q, %v; want default-value", v, err)
 	}
 
 	// Per-shard persistence layout: the two tenants have their own
@@ -228,6 +215,18 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 
 	// Restart the whole server process: stop transport, close the router
 	// (final snapshots), bring up a fresh router on the same directories.
+	// The clients hang up first, and the server is stopped only once it
+	// has read every connection to its end: a reader's last COMMIT leaves
+	// after its Read returns, and one still unread at Stop would be lost,
+	// which the reader's line-36 check rightly reports after the restart.
+	for _, c := range []*ustor.Client{alpha0, alpha1, beta0, beta1} {
+		_ = c.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.ActiveConns() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after every client hung up", srv.ActiveConns())
+		}
+	}
 	srv.Stop()
 	if err := router.Close(); err != nil {
 		t.Fatal(err)
@@ -252,7 +251,7 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 	}
 
 	for name, c := range map[string]*ustor.Client{
-		"alpha0": alpha0, "alpha1": alpha1, "beta0": beta0, "beta1": beta1, "def0": def0, "def1": def1,
+		"alpha0": alpha0, "alpha1": alpha1, "beta0": beta0, "beta1": beta1,
 	} {
 		if failed, reason := c.Failed(); failed {
 			t.Fatalf("client %s reported failure: %v", name, reason)
@@ -288,5 +287,69 @@ func TestTCPRejectedHandshakeNoInstantiation(t *testing.T) {
 	defer link.Close()
 	if got := router.OpenShards(); len(got) != 1 || got[0].Name != "fresh" {
 		t.Fatalf("OpenShards = %+v, want [fresh]", got)
+	}
+}
+
+// TestTCPAuthKeylessImpersonationRejected is the admission regression
+// test: on a server that authenticates its connections, a peer holding no
+// key dials as client 1 while the real client 1 is connected. The dial
+// must fail before the connection is registered, so the real client 1
+// keeps its connection, and the peer never gets to send the junk COMMIT
+// that would plant an unsigned SVER[1] and make honest client 0 raise a
+// false alarm against a correct server.
+func TestTCPAuthKeylessImpersonationRejected(t *testing.T) {
+	const n = 2
+	ring, signers := crypto.NewTestKeyring(n, 35)
+	router, err := shard.NewRouter([]shard.Spec{{Name: transport.DefaultShard, N: n}}, shard.Options{
+		VerifyKeyring: func(string, int) *crypto.Keyring { return ring },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.ServeTCPSharded(ln, router)
+	t.Cleanup(srv.Stop)
+	addr := ln.Addr().String()
+
+	clients := make([]*ustor.Client, n)
+	for i := range clients {
+		link, err := transport.DialTCPShard(addr, "", i, transport.WithSigner(signers[i]))
+		if err != nil {
+			t.Fatalf("client %d dial: %v", i, err)
+		}
+		clients[i] = ustor.NewClient(i, ring, signers[i], link)
+		t.Cleanup(func() { _ = clients[i].Close() })
+	}
+	if err := clients[1].Write([]byte("before")); err != nil {
+		t.Fatalf("client 1 write: %v", err)
+	}
+	if v, err := clients[0].Read(1); err != nil || string(v) != "before" {
+		t.Fatalf("client 0 read = %q, %v; want before", v, err)
+	}
+
+	evil, err := transport.DialTCPShard(addr, "", 1)
+	if err == nil {
+		t.Errorf("a peer without client 1's key was admitted as client 1")
+		v := version.New(n)
+		v.V[0], v.V[1] = 1<<40, 1<<40
+		_ = evil.Send(&wire.Commit{Ver: v, CommitSig: make([]byte, crypto.SignatureSize)})
+		_ = evil.Close()
+	} else if !strings.Contains(err.Error(), "no signer") {
+		t.Errorf("keyless dial failed for the wrong reason: %v", err)
+	}
+
+	if err := clients[1].Write([]byte("after")); err != nil {
+		t.Fatalf("client 1's connection did not survive the impersonation attempt: %v", err)
+	}
+	if v, err := clients[0].Read(1); err != nil || string(v) != "after" {
+		t.Fatalf("client 0 read = %q, %v; want after", v, err)
+	}
+	for i, c := range clients {
+		if failed, reason := c.Failed(); failed {
+			t.Fatalf("client %d raised a false alarm against a correct server: %v", i, reason)
+		}
 	}
 }

@@ -30,15 +30,6 @@ func EncodedSize(payload []byte) int {
 	return len(hdr) + len(payload)
 }
 
-// VerifyBatch is bound by name: the batch dispatch pipeline's verify
-// fan-out runs once per dispatched batch.
-func VerifyBatch(jobs []int) {
-	seen := make(map[int]bool) // want `make\(\) allocates on the VerifyBatch hot path`
-	for _, j := range jobs {
-		seen[j] = true
-	}
-}
-
 // dispatchBatches is bound by name: it is the dispatcher's drain loop.
 func dispatchBatches(inbox <-chan []byte) {
 	for b := range inbox {
@@ -46,8 +37,14 @@ func dispatchBatches(inbox <-chan []byte) {
 	}
 }
 
-// popBatch is bound by name; appending into the caller's buffer is fine.
+// popBatch is bound by name: the dispatcher's drain runs once per
+// dispatched batch. Appending into the caller's buffer is fine; a fresh
+// allocation is not.
 func popBatch(q [][]byte, buf [][]byte) [][]byte {
+	seen := make(map[int]bool) // want `make\(\) allocates on the popBatch hot path`
+	for i := range q {
+		seen[i] = true
+	}
 	return append(buf, q...)
 }
 
