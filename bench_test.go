@@ -124,9 +124,9 @@ func BenchmarkWaitFreedom(b *testing.B) {
 
 	// Client 0 crashes mid-operation.
 	link0 := nw.ClientLink(0)
-	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, nil))
-	delta := signers[0].Sign(crypto.DomainData, wire.DataPayload(1, crypto.Hash([]byte("w"))))
-	if err := link0.Send(&wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma}, Value: []byte("w"), DataSig: delta}); err != nil {
+	xhash := crypto.Hash([]byte("w"))
+	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, xhash))
+	if err := link0.Send(&wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma, XHash: xhash}, Value: []byte("w")}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := link0.Recv(); err != nil {
@@ -473,10 +473,11 @@ func BenchmarkPiggybackAblation(b *testing.B) {
 }
 
 // BenchmarkCryptoPerOp measures the primitives dominating USTOR's cost
-// (E12).
+// (E12): an operation signs twice (SUBMIT, COMMIT).
 func BenchmarkCryptoPerOp(b *testing.B) {
 	ring, signers := crypto.NewTestKeyring(2, 1)
-	payload := wire.SubmitPayload(wire.OpWrite, 0, 1, nil)
+	xhash := crypto.Hash([]byte("w"))
+	payload := wire.SubmitPayload(wire.OpWrite, 0, 1, xhash)
 	b.Run("sign", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = signers[0].Sign(crypto.DomainSubmit, payload)
@@ -488,7 +489,7 @@ func BenchmarkCryptoPerOp(b *testing.B) {
 	payloads := make([][]byte, 2048)
 	sigs := make([][]byte, len(payloads))
 	for i := range payloads {
-		payloads[i] = wire.SubmitPayload(wire.OpWrite, 0, int64(i+1), nil)
+		payloads[i] = wire.SubmitPayload(wire.OpWrite, 0, int64(i+1), xhash)
 		sigs[i] = signers[0].Sign(crypto.DomainSubmit, payloads[i])
 	}
 	b.Run("verify", func(b *testing.B) {
@@ -514,7 +515,7 @@ func BenchmarkSignVerify(b *testing.B) {
 	msg := make([]byte, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = signers[0].Sign(crypto.DomainData, msg)
+		_ = signers[0].Sign(crypto.DomainSubmit, msg)
 	}
 }
 

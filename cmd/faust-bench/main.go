@@ -286,9 +286,9 @@ func expWaitFree() {
 	usrv := ustor.NewServer(n)
 	unet := transport.NewNetwork(n, usrv)
 	link0 := unet.ClientLink(0)
-	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, nil))
-	delta := signers[0].Sign(crypto.DomainData, wire.DataPayload(1, crypto.Hash([]byte("w"))))
-	_ = link0.Send(&wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma}, Value: []byte("w"), DataSig: delta})
+	xhash := crypto.Hash([]byte("w"))
+	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, xhash))
+	_ = link0.Send(&wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma, XHash: xhash}, Value: []byte("w")})
 	_, _ = link0.Recv() // REPLY consumed; COMMIT never sent: client 0 is dead
 	c1 := ustor.NewClient(1, ring, signers[1], unet.ClientLink(1))
 	const reads = 200
@@ -590,8 +590,8 @@ func expOverhead() {
 }
 
 // expCrypto reports the cost of the cryptographic primitives per
-// operation: 2 signatures by the client, and 1-3 verifications plus one
-// per concurrent operation.
+// operation: 2 signatures by the client (SUBMIT, COMMIT), and 1-3
+// verifications plus one per concurrent operation.
 func expCrypto() {
 	ring, signers := crypto.NewTestKeyring(2, 9)
 
@@ -600,8 +600,9 @@ func expCrypto() {
 	const iters = 500
 	payloads := make([][]byte, iters)
 	sigs := make([][]byte, iters)
+	xhash := crypto.Hash([]byte("w"))
 	for i := range payloads {
-		payloads[i] = wire.SubmitPayload(wire.OpWrite, 0, int64(i+1), nil)
+		payloads[i] = wire.SubmitPayload(wire.OpWrite, 0, int64(i+1), xhash)
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
@@ -631,8 +632,8 @@ func expCrypto() {
 	recordNs("crypto/sign", 2, float64(signT.Nanoseconds()))
 	recordNs("crypto/verify", 2, float64(verifyT.Nanoseconds()))
 	recordNs("crypto/hash-64B", 2, float64(hashT.Nanoseconds()))
-	fmt.Printf("per write op: 3 signs (SUBMIT,DATA,COMMIT) ~ %v; per read reply verify: >=2 ~ %v\n",
-		3*signT, 2*verifyT)
+	fmt.Printf("per write op: 2 signs (SUBMIT,COMMIT) ~ %v; per read reply verify: >=2 ~ %v\n",
+		2*signT, 2*verifyT)
 }
 
 // expPersist measures what durability costs: the same concurrent write
@@ -1679,6 +1680,7 @@ func expBatch() {
 		return withServer(name, m, cap, opsPer, func(nw *transport.Network, signers []*crypto.Signer, setLat func(int, []int64)) {
 			done := make(chan error, m)
 			value := make([]byte, 64)
+			xhash := crypto.Hash(value)
 			for c := 0; c < m; c++ {
 				go func(c int) {
 					link := nw.ClientLink(c)
@@ -1688,10 +1690,10 @@ func expBatch() {
 						t0 := time.Now()
 						sub := &wire.Submit{
 							T:     int64(i + 1),
-							Inv:   wire.Invocation{Client: c, Op: wire.OpWrite, Reg: c},
+							Inv:   wire.Invocation{Client: c, Op: wire.OpWrite, Reg: c, XHash: xhash},
 							Value: value,
 						}
-						payload = wire.AppendSubmitPayload(payload[:0], sub.Inv.Op, sub.Inv.Reg, sub.T, nil)
+						payload = wire.AppendSubmitPayload(payload[:0], sub.Inv.Op, sub.Inv.Reg, sub.T, xhash)
 						sub.Inv.SubmitSig = signers[c].Sign(crypto.DomainSubmit, payload)
 						if err := link.Send(sub); err != nil {
 							done <- err

@@ -30,13 +30,15 @@ const SignatureSize = ed25519.SignatureSize
 // Domain tags separate the signature kinds of Algorithm 1 so that a
 // signature issued for one purpose can never verify for another.
 //
-// Tag 4 is retired and must never be reused: it marked the paper's
-// PROOF-signature psi on M[i], which the COMMIT-signature now subsumes
-// (its payload starts with M[i]). Keeping the tag unassigned means no
-// psi ever issued can verify under a new meaning.
+// Tags 2 and 4 are retired and must never be reused. Tag 2 marked the
+// paper's DATA-signature delta on (timestamp, value hash), which the
+// SUBMIT-signature now subsumes (its payload ends with the value hash);
+// tag 4 marked the PROOF-signature psi on M[i], which the
+// COMMIT-signature subsumes (its payload starts with M[i]). Keeping the
+// tags unassigned means no delta or psi ever issued can verify under a
+// new meaning.
 const (
-	DomainSubmit byte = 1 // SUBMIT-signature sigma on (opcode, register, timestamp)
-	DomainData   byte = 2 // DATA-signature delta on (timestamp, value hash)
+	DomainSubmit byte = 1 // SUBMIT-signature sigma on (opcode, register, timestamp, value hash)
 	DomainCommit byte = 3 // COMMIT-signature phi on M[i] and the hash of (V, M)
 	// DomainLSChain is used by the lock-step baseline protocol for
 	// signatures over its global hash chain.
@@ -90,7 +92,7 @@ func HashInto(dst []byte, parts ...[]byte) []byte {
 
 // HashOrNil returns nil when x is nil (the paper's bottom value) and
 // Hash(x) otherwise. The initial value of every register is bottom, and
-// the DATA-signature of a client that has never written covers bottom
+// the SUBMIT-signature of a client that has never written covers bottom
 // rather than the hash of an empty string; this helper keeps signer and
 // verifier consistent.
 func HashOrNil(x []byte) []byte {
@@ -155,6 +157,20 @@ func (k *Keyring) N() int { return len(k.pubs) }
 //
 //faustlint:hotpath
 func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
+	return k.verify(i, sig, domain, payload, true)
+}
+
+// VerifyUncached checks a signature exactly like Verify but neither
+// consults nor fills the verified cache. It is meant for one-shot
+// payloads that no party will ever present again, such as a handshake
+// answer over a fresh nonce: caching those would only evict the triples
+// the protocol checks re-present.
+func (k *Keyring) VerifyUncached(i int, sig []byte, domain byte, payload []byte) bool {
+	return k.verify(i, sig, domain, payload, false)
+}
+
+//faustlint:hotpath
+func (k *Keyring) verify(i int, sig []byte, domain byte, payload []byte, cached bool) bool {
 	if i < 0 || i >= len(k.pubs) {
 		return false
 	}
@@ -167,15 +183,19 @@ func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
 	buf = append(buf, payload...)
 	msg := buf[4:]
 	buf = append(buf, sig...)
-	key := verifiedKey(sha256.Sum256(buf))
-	ok := k.verified.contains(&key)
+	var key verifiedKey
+	ok := false
+	if cached {
+		key = verifiedKey(sha256.Sum256(buf))
+		ok = k.verified.contains(&key)
+	}
 	if ok {
 		verifiedHits.Inc()
 	} else {
 		start := obs.StartTimer()
 		ok = ed25519.Verify(k.pubs[i], msg, sig)
 		verifyNs.ObserveSince(start)
-		if ok {
+		if ok && cached {
 			k.verified.insert(&key)
 		}
 	}

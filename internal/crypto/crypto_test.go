@@ -65,28 +65,28 @@ func TestVerifyRejectsWrongSigner(t *testing.T) {
 func TestVerifyRejectsWrongDomain(t *testing.T) {
 	ring, signers := NewTestKeyring(1, 1)
 	sig := signers[0].Sign(DomainSubmit, []byte("p"))
-	if ring.Verify(0, sig, DomainData, []byte("p")) {
-		t.Fatal("domain separation violated: SUBMIT signature verified under DATA")
+	if ring.Verify(0, sig, DomainCommit, []byte("p")) {
+		t.Fatal("domain separation violated: SUBMIT signature verified under COMMIT")
 	}
 }
 
 func TestVerifyRejectsTamperedPayload(t *testing.T) {
 	ring, signers := NewTestKeyring(1, 1)
-	sig := signers[0].Sign(DomainData, []byte("p"))
-	if ring.Verify(0, sig, DomainData, []byte("q")) {
+	sig := signers[0].Sign(DomainHello, []byte("p"))
+	if ring.Verify(0, sig, DomainHello, []byte("q")) {
 		t.Fatal("tampered payload verified")
 	}
 }
 
 func TestVerifyRejectsMalformed(t *testing.T) {
 	ring, _ := NewTestKeyring(2, 1)
-	if ring.Verify(0, []byte("short"), DomainData, []byte("p")) {
+	if ring.Verify(0, []byte("short"), DomainHello, []byte("p")) {
 		t.Fatal("malformed signature verified")
 	}
-	if ring.Verify(-1, make([]byte, 64), DomainData, []byte("p")) {
+	if ring.Verify(-1, make([]byte, 64), DomainHello, []byte("p")) {
 		t.Fatal("negative client index verified")
 	}
-	if ring.Verify(2, make([]byte, 64), DomainData, []byte("p")) {
+	if ring.Verify(2, make([]byte, 64), DomainHello, []byte("p")) {
 		t.Fatal("out-of-range client index verified")
 	}
 }
@@ -94,12 +94,12 @@ func TestVerifyRejectsMalformed(t *testing.T) {
 func TestTestKeyringDeterministic(t *testing.T) {
 	ring1, signers1 := NewTestKeyring(4, 42)
 	ring2, signers2 := NewTestKeyring(4, 42)
-	sig1 := signers1[2].Sign(DomainData, []byte("m"))
-	sig2 := signers2[2].Sign(DomainData, []byte("m"))
+	sig1 := signers1[2].Sign(DomainHello, []byte("m"))
+	sig2 := signers2[2].Sign(DomainHello, []byte("m"))
 	if !bytes.Equal(sig1, sig2) {
 		t.Fatal("same seed produced different keys")
 	}
-	if !ring1.Verify(2, sig2, DomainData, []byte("m")) || !ring2.Verify(2, sig1, DomainData, []byte("m")) {
+	if !ring1.Verify(2, sig2, DomainHello, []byte("m")) || !ring2.Verify(2, sig1, DomainHello, []byte("m")) {
 		t.Fatal("cross-verification between identically seeded rings failed")
 	}
 }
@@ -107,8 +107,8 @@ func TestTestKeyringDeterministic(t *testing.T) {
 func TestTestKeyringSeedsDiffer(t *testing.T) {
 	_, signers1 := NewTestKeyring(1, 1)
 	_, signers2 := NewTestKeyring(1, 2)
-	s1 := signers1[0].Sign(DomainData, []byte("m"))
-	s2 := signers2[0].Sign(DomainData, []byte("m"))
+	s1 := signers1[0].Sign(DomainHello, []byte("m"))
+	s2 := signers2[0].Sign(DomainHello, []byte("m"))
 	if bytes.Equal(s1, s2) {
 		t.Fatal("different seeds produced identical keys")
 	}
@@ -147,8 +147,8 @@ func TestKeyringMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnmarshalKeyring: %v", err)
 	}
-	sig := signers[3].Sign(DomainData, []byte("z"))
-	if !got.Verify(3, sig, DomainData, []byte("z")) {
+	sig := signers[3].Sign(DomainHello, []byte("z"))
+	if !got.Verify(3, sig, DomainHello, []byte("z")) {
 		t.Fatal("round-tripped keyring rejects valid signature")
 	}
 }

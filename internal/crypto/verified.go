@@ -14,14 +14,17 @@ import (
 // every client sharing a keyring re-checks the SVER[c] and SUBMIT
 // signatures the server echoes to all of them, the line-41 check of P[k]
 // presents the very COMMIT-signature another client already accepted as
-// SVER[c], and a reader re-checks an unchanged SVER[j]/δ_j on every read. Each Keyring therefore remembers
-// the triples a real ed25519.Verify in this process has accepted. The key
-// is H(signer index ‖ domain ‖ payload ‖ signature) with H = SHA-256, the
-// collision-resistant hash Section 2 already assumes, so a hit is exactly
-// as strong as verifying again: any differing byte — signer, domain,
-// payload or signature — yields a different key and a real verification.
-// Rejected triples are never inserted, so a forgery costs a full
-// verification every time it is presented.
+// SVER[c], the line-50 check of MEM[j] presents the SUBMIT-signature of
+// an operation line 43 already accepted in L, and a reader re-checks an
+// unchanged SVER[j] and MEM[j] on every read. Each Keyring therefore
+// remembers the triples a real ed25519.Verify in this process has
+// accepted. The key is H(signer index ‖ domain ‖ payload ‖ signature)
+// with H = SHA-256, the collision-resistant hash Section 2 already
+// assumes, so a hit is exactly as strong as verifying again: any
+// differing byte — signer, domain, payload or signature — yields a
+// different key and a real verification. Rejected triples are never
+// inserted, so a forgery costs a full verification every time it is
+// presented. One-shot payloads (Keyring.VerifyUncached) bypass the table.
 
 // Cache geometry: verifiedSets sets of verifiedWays keys each, FIFO
 // replacement inside a set. SHA-256 keys spread uniformly over the sets,

@@ -37,7 +37,7 @@ func TestVerifiedCacheBindsWholeTriple(t *testing.T) {
 	}{
 		{"flipped signature byte", 0, flipped, DomainCommit, payload},
 		{"different payload", 0, sig, DomainCommit, otherPayload},
-		{"different domain", 0, sig, DomainData, payload},
+		{"different domain", 0, sig, DomainSubmit, payload},
 		{"another signer index", 1, sig, DomainCommit, payload},
 	}
 	for _, c := range cases {
@@ -144,9 +144,9 @@ func TestVerifiedCacheConcurrentAgreesWithEd25519(t *testing.T) {
 
 func TestVerifiedCacheCounters(t *testing.T) {
 	ring, signers := NewTestKeyring(2, 24)
-	payload := []byte("data payload")
-	valid := signers[0].Sign(DomainData, payload)
-	forged := signers[1].Sign(DomainData, payload)
+	payload := []byte("submit payload")
+	valid := signers[0].Sign(DomainSubmit, payload)
+	forged := signers[1].Sign(DomainSubmit, payload)
 	steps := []struct {
 		sig  []byte
 		want bool
@@ -159,13 +159,45 @@ func TestVerifiedCacheCounters(t *testing.T) {
 	}
 	v0, h0 := verifyCounts()
 	for i, s := range steps {
-		if got := ring.Verify(0, s.sig, DomainData, payload); got != s.want {
+		if got := ring.Verify(0, s.sig, DomainSubmit, payload); got != s.want {
 			t.Fatalf("step %d: Verify = %v, want %v", i, got, s.want)
 		}
 	}
 	v1, h1 := verifyCounts()
 	if v1-v0 != 3 || h1-h0 != 2 {
 		t.Fatalf("faust_ed25519_verify_ns moved by %d and faust_verify_cache_hits_total by %d, want 3 and 2", v1-v0, h1-h0)
+	}
+}
+
+// VerifyUncached gives Verify's verdicts but never touches the cache: it
+// inserts nothing, and it verifies for real even a triple the cache
+// holds.
+func TestVerifyUncachedBypassesCache(t *testing.T) {
+	ring, signers := NewTestKeyring(2, 25)
+	nonce := []byte("one-shot nonce")
+	valid := signers[0].Sign(DomainHello, nonce)
+	forged := signers[1].Sign(DomainHello, nonce)
+	v0, h0 := verifyCounts()
+	if !ring.VerifyUncached(0, valid, DomainHello, nonce) {
+		t.Fatal("valid signature rejected")
+	}
+	if ring.VerifyUncached(0, forged, DomainHello, nonce) || ring.VerifyUncached(0, valid, DomainHello, []byte("other nonce")) {
+		t.Fatal("forged signature accepted")
+	}
+	if ring.VerifyUncached(2, valid, DomainHello, nonce) || ring.VerifyUncached(0, valid[:10], DomainHello, nonce) {
+		t.Fatal("malformed input accepted")
+	}
+	if n := ring.verified.len(); n != 0 {
+		t.Fatalf("VerifyUncached left %d cache entries", n)
+	}
+	if !ring.Verify(0, valid, DomainHello, nonce) || ring.verified.len() != 1 {
+		t.Fatal("Verify did not cache the accepted triple")
+	}
+	if !ring.VerifyUncached(0, valid, DomainHello, nonce) {
+		t.Fatal("valid signature rejected")
+	}
+	if v1, h1 := verifyCounts(); v1-v0 != 5 || h1 != h0 {
+		t.Fatalf("%d real verifications and %d cache hits, want 5 and 0", v1-v0, h1-h0)
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 // submitRecord builds a well-formed SUBMIT record for tests.
 func submitRecord(from int, t int64) Record {
 	return Record{From: from, Msg: &wire.Submit{
-		T:       t,
-		Inv:     wire.Invocation{Client: from, Op: wire.OpWrite, Reg: from, SubmitSig: []byte("sig")},
-		Value:   []byte(fmt.Sprintf("v%d", t)),
-		DataSig: []byte("data"),
+		T:     t,
+		Inv:   wire.Invocation{Client: from, Op: wire.OpWrite, Reg: from, SubmitSig: []byte("sig"), XHash: bytes.Repeat([]byte{0x5a}, 32)},
+		Value: []byte(fmt.Sprintf("v%d", t)),
 	}}
 }
 

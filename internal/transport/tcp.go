@@ -681,7 +681,7 @@ func (s *TCPServer) challenge(conn net.Conn, ring *crypto.Keyring, name string, 
 	if err != nil {
 		return fmt.Errorf("transport: reading the hello signature: %w", err)
 	}
-	if !ring.Verify(id, sig, crypto.DomainHello, helloPayload(nonce, id, name)) {
+	if !ring.VerifyUncached(id, sig, crypto.DomainHello, helloPayload(nonce, id, name)) {
 		return fmt.Errorf("transport: hello signature of client %d for shard %q does not verify", id, name)
 	}
 	return nil

@@ -498,6 +498,51 @@ func rawChallenge(t *testing.T, addr, shard string, id int) (net.Conn, []byte) {
 	return conn, ch[1:]
 }
 
+// TestTCPHelloLeavesVerifiedCacheAlone: the hello answer signs a fresh
+// nonce that no party ever presents again, so admitting a client must
+// neither fill the keyring's verified-signature cache (whose entries the
+// protocol checks re-present) nor be answered from it. A tampered answer
+// is still refused.
+func TestTCPHelloLeavesVerifiedCacheAlone(t *testing.T) {
+	ring, signers := crypto.NewTestKeyring(1, 43)
+	addr := startAuthTCP(t, map[string]ServerCore{"a": &echoCore{}}, ring)
+	verifies := obs.Default().Histogram("faust_ed25519_verify_ns")
+	hits := obs.Default().Counter("faust_verify_cache_hits_total")
+	counts := func() (int64, int64) { return verifies.Snapshot().Count, hits.Value() }
+
+	conn, nonce := rawChallenge(t, addr, "a", 0)
+	payload := helloPayload(nonce, 0, "a")
+	sig := signers[0].Sign(crypto.DomainHello, payload)
+	v0, h0 := counts()
+	if err := writeFrame(conn, sig); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := readFrame(conn); err != nil || !bytes.Equal(ack, []byte{ackAccepted}) {
+		t.Fatalf("correctly signed hello: ack %q, %v", ack, err)
+	}
+	if v, h := counts(); v-v0 != 1 || h != h0 {
+		t.Fatalf("admission: %d real verifications and %d cache hits, want 1 and 0", v-v0, h-h0)
+	}
+	// Had the admission cached the triple, this check would be a hit.
+	if !ring.Verify(0, sig, crypto.DomainHello, payload) {
+		t.Fatal("the admitted hello signature does not verify")
+	}
+	if v, h := counts(); v-v0 != 2 || h != h0 {
+		t.Fatalf("re-check after admission: %d real verifications and %d cache hits in total, want 2 and 0", v-v0, h-h0)
+	}
+
+	conn, nonce = rawChallenge(t, addr, "a", 0)
+	bad := signers[0].Sign(crypto.DomainHello, helloPayload(nonce, 0, "a"))
+	bad[5] ^= 0x01
+	if err := writeFrame(conn, bad); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := readFrame(conn); err != nil || len(ack) == 0 || ack[0] == ackAccepted ||
+		!strings.Contains(string(ack[1:]), "does not verify") {
+		t.Fatalf("tampered hello: ack %q, %v; want a refusal", ack, err)
+	}
+}
+
 // TestTCPHelloAuthentication covers the challenge-response hello: who is
 // admitted, who is refused (a peer that never answers included), that
 // every refusal is counted and logged, and that a keyless shard's

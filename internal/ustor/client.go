@@ -83,16 +83,20 @@ type Client struct {
 	linkMu sync.Mutex
 	link   transport.Link
 
-	mu        sync.Mutex
-	xbar      []byte          // hash of the most recently written value; nil = bottom
+	mu sync.Mutex
+	// xbar is the hash of the most recently written value (nil = bottom).
+	// Every SUBMIT carries it in its invocation tuple, which the server
+	// retains, so it is allocated afresh on each write and never written
+	// through.
+	xbar      []byte
 	ver       version.Version // (V_i, M_i)
 	failed    bool
 	reason    error
 	piggyback bool
 	pending   *wire.Commit // deferred COMMIT awaiting the next SUBMIT
 
-	// Scratch buffers for signature payloads and value hashes, reused
-	// across operations (guarded by mu). They keep the steady-state
+	// Scratch buffers for signature payloads and the line-50 value hash,
+	// reused across operations (guarded by mu). They keep the steady-state
 	// operation path free of per-call allocations; everything that escapes
 	// into a message or result is still freshly allocated or cloned.
 	payload []byte
@@ -254,8 +258,12 @@ func (c *Client) Read(j int) ([]byte, error) {
 // WriteX is the extended write (Algorithm 1 lines 11-20): identical to
 // Write but additionally returns the committed version. ctx carries the
 // operation's trace context: when absent (and tracing is on) the write
-// becomes a new trace root, and the context travels inside the SUBMIT —
-// covered by the SUBMIT-signature — so server-side spans join it.
+// becomes a new trace root, and the context travels inside the SUBMIT
+// (advisory, not signed) so server-side spans join it.
+//
+// The paper signs twice here: sigma on the invocation and delta on
+// (t, xbar). One signature over both does the same job (see
+// wire.AppendSubmitPayload).
 func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -270,23 +278,15 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 
 	_, hs := trace.Child(ctx, spanSign)
 	t := c.ver.V[c.id] + 1
-	if x == nil {
-		c.xbar = nil
-	} else {
-		c.hash = crypto.HashInto(c.hash[:0], x)
-		c.xbar = c.hash
-	}
-	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpWrite, c.id, t, tc)
+	c.xbar = crypto.HashOrNil(x)
+	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpWrite, c.id, t, c.xbar)
 	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
-	delta := c.signer.Sign(crypto.DomainData, c.payload)
 	hs.End()
 
 	submit := &wire.Submit{
 		T:         t,
-		Inv:       wire.Invocation{Client: c.id, Op: wire.OpWrite, Reg: c.id, SubmitSig: sigma, Trace: tc},
+		Inv:       wire.Invocation{Client: c.id, Op: wire.OpWrite, Reg: c.id, SubmitSig: sigma, XHash: c.xbar, Trace: tc},
 		Value:     x,
-		DataSig:   delta,
 		Piggyback: c.takePending(),
 	}
 	_, hrpc := trace.Child(ctx, spanRPC)
@@ -339,16 +339,13 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 
 	_, hs := trace.Child(ctx, spanSign)
 	t := c.ver.V[c.id] + 1
-	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpRead, j, t, tc)
+	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpRead, j, t, c.xbar)
 	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
-	delta := c.signer.Sign(crypto.DomainData, c.payload)
 	hs.End()
 
 	submit := &wire.Submit{
 		T:         t,
-		Inv:       wire.Invocation{Client: c.id, Op: wire.OpRead, Reg: j, SubmitSig: sigma, Trace: tc},
-		DataSig:   delta,
+		Inv:       wire.Invocation{Client: c.id, Op: wire.OpRead, Reg: j, SubmitSig: sigma, XHash: c.xbar, Trace: tc},
 		Piggyback: c.takePending(),
 	}
 	_, hrpc := trace.Child(ctx, spanRPC)
@@ -427,6 +424,14 @@ func (c *Client) validateReplyShape(r *wire.Reply) error {
 	if r.IsRead && (r.JVer.Ver.N() != c.n || len(r.JVer.Ver.M) != c.n) {
 		return c.fail("REPLY carries a writer version of the wrong dimension")
 	}
+	if r.IsRead && r.Mem.T != 0 {
+		if r.Mem.Op != wire.OpRead && r.Mem.Op != wire.OpWrite {
+			return c.fail("MEM entry carries an invalid opcode")
+		}
+		if r.Mem.Reg < 0 || r.Mem.Reg >= c.n {
+			return c.fail("MEM entry names an out-of-range register")
+		}
+	}
 	for _, inv := range r.L {
 		if inv.Client < 0 || inv.Client >= c.n {
 			return c.fail("invocation tuple names an out-of-range client")
@@ -436,6 +441,9 @@ func (c *Client) validateReplyShape(r *wire.Reply) error {
 		}
 		if inv.Reg < 0 || inv.Reg >= c.n {
 			return c.fail("invocation tuple names an out-of-range register")
+		}
+		if inv.XHash != nil && len(inv.XHash) != crypto.HashSize {
+			return c.fail("invocation tuple carries a malformed value hash")
 		}
 	}
 	return nil
@@ -485,14 +493,13 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 		// Line 42: account for C_k's operation.
 		c.ver.V[k]++
 		// Line 43: no client is concurrent with itself, and the
-		// SUBMIT-signature must cover the expected timestamp.
+		// SUBMIT-signature must cover the expected timestamp. It also
+		// covers the value hash the tuple echoes, which line 50 may later
+		// present again for MEM[k].
 		if k == c.id {
 			return c.fail("own operation listed as concurrent (line 43)")
 		}
-		// inv.Trace is whatever the submitter put under its signature;
-		// recomputing the payload from the echoed tuple keeps the check
-		// sound whether or not the operation was traced.
-		c.payload = wire.AppendSubmitPayload(c.payload[:0], inv.Op, inv.Reg, c.ver.V[k], inv.Trace)
+		c.payload = wire.AppendSubmitPayload(c.payload[:0], inv.Op, inv.Reg, c.ver.V[k], inv.XHash)
 		if !c.ring.Verify(k, inv.SubmitSig, crypto.DomainSubmit, c.payload) {
 			return c.fail("SUBMIT-signature for concurrent operation invalid (line 43)")
 		}
@@ -522,11 +529,20 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 			return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
 		}
 	}
-	// Line 50: the value integrity check via the DATA-signature.
+	// Line 50: the value integrity check. The paper checks C_j's
+	// DATA-signature on (t_j, H(x_j)); here C_j's SUBMIT-signature of the
+	// invocation at t_j covers H(x_j), so the check rebuilds that payload
+	// from MEM[j]. When line 43 already accepted that invocation in some
+	// L, the keyring answers from its cache.
 	if tj != 0 {
-		c.payload = wire.AppendDataPayload(c.payload[:0], tj, crypto.HashOrNil(xj))
-		if !c.ring.Verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
-			return c.fail("DATA-signature on returned value invalid (line 50)")
+		var xhash []byte
+		if xj != nil {
+			c.hash = crypto.HashInto(c.hash[:0], xj)
+			xhash = c.hash
+		}
+		c.payload = wire.AppendSubmitPayload(c.payload[:0], r.Mem.Op, r.Mem.Reg, tj, xhash)
+		if !c.ring.Verify(j, r.Mem.SubmitSig, crypto.DomainSubmit, c.payload) {
+			return c.fail("SUBMIT-signature on returned value invalid (line 50)")
 		}
 	}
 	// Line 51: the writer's version is no newer than the adopted one, and

@@ -123,8 +123,7 @@ func TestReplyUnaffectedByDirectHandlerMutations(t *testing.T) {
 				Client: from, Op: wire.OpWrite, Reg: from,
 				SubmitSig: []byte(fmt.Sprintf("sig-%d-%d", from, t64)),
 			},
-			Value:   []byte(fmt.Sprintf("v-%d-%d", from, t64)),
-			DataSig: []byte(fmt.Sprintf("data-%d-%d", from, t64)),
+			Value: []byte(fmt.Sprintf("v-%d-%d", from, t64)),
 		})
 	}
 
@@ -209,8 +208,7 @@ func TestConcurrentDirectHandlersRaceStress(t *testing.T) {
 						Client: g, Op: wire.OpWrite, Reg: g,
 						SubmitSig: []byte{byte(g), byte(k)},
 					},
-					Value:   []byte(fmt.Sprintf("g%d-%d", g, k)),
-					DataSig: []byte{byte(k)},
+					Value: []byte(fmt.Sprintf("g%d-%d", g, k)),
 				})
 				if reply == nil {
 					t.Errorf("goroutine %d: nil reply", g)

@@ -171,10 +171,9 @@ func TestFlushNoOpOnPlainClient(t *testing.T) {
 
 func TestSubmitWithPiggybackCodecRoundTrip(t *testing.T) {
 	s := &wire.Submit{
-		T:       3,
-		Inv:     wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("sig")},
-		Value:   []byte("v"),
-		DataSig: []byte("d"),
+		T:     3,
+		Inv:   wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("sig")},
+		Value: []byte("v"),
 		Piggyback: &wire.Commit{
 			Ver:       version.New(2),
 			CommitSig: []byte("c"),

@@ -100,7 +100,7 @@ func TestFoldedProofAttacks(t *testing.T) {
 		}},
 		{"(d) C_k's key on the proof payload under the DATA domain", "line 41", func(r *wire.Reply, _ []OpResult, s []*crypto.Signer) {
 			payload := wire.CommitPayload(0, r.CVer.Ver)
-			r.P[0].Sig = s[0].Sign(crypto.DomainData, payload)
+			r.P[0].Sig = s[0].Sign(2, payload) // the retired DATA tag
 		}},
 		{"(d) C_k's key on the proof payload under the SUBMIT domain", "line 41", func(r *wire.Reply, _ []OpResult, s []*crypto.Signer) {
 			payload := wire.CommitPayload(0, r.CVer.Ver)

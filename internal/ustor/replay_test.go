@@ -90,13 +90,15 @@ func TestReplayedSubmitSignatureInLDetected(t *testing.T) {
 	rs.mu.Lock()
 	old := rs.sigmas[1]
 	rs.mu.Unlock()
-	if !ring.Verify(0, old, crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, nil)) {
+	xhash := crypto.Hash([]byte("v1"))
+	if !ring.Verify(0, old, crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, xhash)) {
 		t.Fatal("client 0's own t=1 SUBMIT-signature does not verify")
 	}
-	// Present it as client 0's next operation (t=3) in client 1's L.
+	// Present it, with the value hash it covers, as client 0's next
+	// operation (t=3) in client 1's L.
 	rs.setTamper(func(r *wire.Reply) {
 		r.L = append(append([]wire.Invocation(nil), r.L...),
-			wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: old})
+			wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: old, XHash: xhash})
 	})
 	expectDetection(t, c1.Write([]byte("x")), "line 43")
 }
@@ -107,14 +109,14 @@ func TestReplayedMemEntryDetected(t *testing.T) {
 		relabel bool // rewrite the old entry's timestamp to the current one
 		line    string
 	}{
-		{"older MEM[j] with its valid DATA-signature", false, "line 51"},
+		{"older MEM[j] with its valid SUBMIT-signature", false, "line 51"},
 		{"older MEM[j] relabelled to the current timestamp", true, "line 50"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rs, _, c0, c1 := replayCluster(t)
 			mustDo(t, c0.Write([]byte("v1"))) // t=1
-			_, err := c1.Read(0)              // verifies (caches) delta_0 for t=1
+			_, err := c1.Read(0)              // verifies (caches) sigma_0 for t=1
 			mustDo(t, err)
 			old := rs.lastRead(t).Mem.Clone()
 			mustDo(t, c0.Write([]byte("v2"))) // t=2

@@ -55,7 +55,7 @@ type Server struct {
 	mu sync.Mutex
 
 	n    int
-	mem  []wire.MemEntry      // MEM: last timestamp, value, DATA-signature per client
+	mem  []wire.MemEntry      // MEM: last timestamp, value and signed invocation per client
 	c    int                  // client who committed the last operation in the schedule
 	sver []wire.SignedVersion // SVER: last version and COMMIT-signature per client
 	l    []wire.Invocation    // L: invocation tuples of concurrent (uncommitted) operations
@@ -133,14 +133,16 @@ func (s *Server) HandleSubmit(ctx context.Context, from int, m *wire.Submit) *wi
 		mem  wire.MemEntry
 	)
 	s.mu.Lock()
+	// MEM[from] takes the invocation whose SUBMIT-signature covers the
+	// value hash; reads refresh it but keep the stored value (line 110).
+	value := m.Value
 	if isRead {
-		// Reads refresh the timestamp and DATA-signature but keep the
-		// stored value (line 110).
-		s.mem[from] = wire.MemEntry{T: m.T, Value: s.mem[from].Value, DataSig: m.DataSig}
+		value = s.mem[from].Value
+	}
+	s.mem[from] = wire.MemEntry{T: m.T, Value: value, Op: m.Inv.Op, Reg: m.Inv.Reg, SubmitSig: m.Inv.SubmitSig}
+	if isRead {
 		jver = s.sver[j]
 		mem = s.mem[j]
-	} else {
-		s.mem[from] = wire.MemEntry{T: m.T, Value: m.Value, DataSig: m.DataSig}
 	}
 	c = s.c
 	cver = s.sver[c]
@@ -156,8 +158,8 @@ func (s *Server) HandleSubmit(ctx context.Context, from int, m *wire.Submit) *wi
 		CVer:   cver,
 		L:      l,
 		P:      p,
-		// Advisory echo of the request's trace context (the submit
-		// signature covers Inv.Trace; this copy just labels the REPLY).
+		// Advisory echo of the request's trace context; it just labels
+		// the REPLY.
 		Trace: m.Inv.Trace,
 	}
 	if isRead {

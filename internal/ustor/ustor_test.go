@@ -208,13 +208,12 @@ func TestWaitFreeDespiteCrashedClient(t *testing.T) {
 	// Client 0 crashes mid-operation: SUBMIT sent, REPLY consumed, COMMIT
 	// never sent.
 	link0 := nw.ClientLink(0)
-	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, nil))
-	delta := signers[0].Sign(crypto.DomainData, wire.DataPayload(1, crypto.Hash([]byte("w"))))
+	xhash := crypto.Hash([]byte("w"))
+	sigma := signers[0].Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, xhash))
 	if err := link0.Send(&wire.Submit{
-		T:       1,
-		Inv:     wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma},
-		Value:   []byte("w"),
-		DataSig: delta,
+		T:     1,
+		Inv:   wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: sigma, XHash: xhash},
+		Value: []byte("w"),
 	}); err != nil {
 		t.Fatalf("crashed client submit: %v", err)
 	}

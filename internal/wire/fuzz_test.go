@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"faust/internal/version"
@@ -27,17 +28,23 @@ func seedMessages() []wire.Message {
 	copy(tc.ID[:], "trace-id-16-byte")
 	tinv := inv
 	tinv.Trace = tc
+	hinv := wire.Invocation{Client: 1, Op: wire.OpRead, Reg: 0, SubmitSig: []byte("sigma"), XHash: bytes.Repeat([]byte{0x5a}, 32)}
+	htinv := hinv
+	htinv.Trace = tc
 
 	return []wire.Message{
-		&wire.Submit{T: 7, Inv: inv, Value: []byte("value"), DataSig: []byte("delta")},
-		&wire.Submit{T: 8, Inv: inv, Value: nil, DataSig: []byte("delta"), Piggyback: commit},
-		&wire.Submit{T: 9, Inv: tinv, Value: []byte("traced"), DataSig: []byte("delta")},
+		&wire.Submit{T: 7, Inv: inv, Value: []byte("value")},
+		&wire.Submit{T: 8, Inv: inv, Value: nil, Piggyback: commit},
+		&wire.Submit{T: 9, Inv: tinv, Value: []byte("traced")},
+		&wire.Submit{T: 10, Inv: hinv, Piggyback: commit},
+		&wire.Submit{T: 11, Inv: htinv, Value: []byte{}},
 		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{inv}, P: proofs},
 		&wire.Reply{IsRead: true, C: 1, CVer: sv, JVer: sv, P: proofs,
-			Mem: wire.MemEntry{T: 3, Value: []byte{}, DataSig: []byte("d")}},
+			Mem: wire.MemEntry{T: 3, Value: []byte{}, Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("d")}},
 		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{tinv}, Trace: tc},
 		&wire.Reply{IsRead: true, C: 2, CVer: sv, JVer: sv,
-			Mem: wire.MemEntry{T: 4, Value: []byte("v"), DataSig: []byte("d")}},
+			Mem: wire.MemEntry{T: 4, Value: []byte("v"), Op: wire.OpRead, Reg: 1, SubmitSig: []byte("d")}},
+		&wire.Reply{IsRead: false, C: 0, CVer: sv, L: []wire.Invocation{hinv, htinv, inv}, P: proofs},
 		commit,
 		&wire.Probe{From: 3},
 		&wire.VersionMsg{From: 1, SV: sv},
@@ -68,12 +75,13 @@ func seedStates() []*wire.ServerState {
 	ver.V[0] = 3
 	ver.M[0] = bytes.Repeat([]byte{0xaa}, 32)
 	inv := wire.Invocation{Client: 1, Op: wire.OpRead, Reg: 0, SubmitSig: []byte("sigma")}
+	hinv := wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("sigma"), XHash: bytes.Repeat([]byte{0x5a}, 32)}
 	return []*wire.ServerState{
 		{N: 1, C: 0, Mem: make([]wire.MemEntry, 1), Sver: []wire.SignedVersion{wire.ZeroSignedVersion(1)}},
 		{N: 2, C: 0,
-			Mem:  []wire.MemEntry{{T: 3, Value: []byte("x"), DataSig: []byte("d")}, {}},
+			Mem:  []wire.MemEntry{{T: 3, Value: []byte("x"), Op: wire.OpWrite, Reg: 0, SubmitSig: []byte("d")}, {}},
 			Sver: []wire.SignedVersion{{Committer: 0, Ver: ver, Sig: []byte("phi")}, wire.ZeroSignedVersion(2)},
-			L:    []wire.Invocation{inv}},
+			L:    []wire.Invocation{inv, hinv}},
 	}
 }
 
@@ -106,6 +114,13 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	// A COMMIT as encoded when it still carried a PROOF-signature.
 	f.Add(append(wire.Encode(&wire.Commit{Ver: version.New(1), CommitSig: []byte("phi")}), 0, 0, 0, 3, 'p', 's', 'i'))
+	// The encodings from before the DATA-signature was folded into the
+	// SUBMIT-signature: a write and a read SUBMIT with delta after the
+	// value, and a state whose MEM entry carries delta instead of the
+	// invocation's (op, reg, sigma) and whose tuple has no value hash.
+	for _, old := range legacyEncodings() {
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if st, err := wire.DecodeServerState(data); err == nil {
@@ -125,4 +140,50 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("EncodedSize = %d, encoding is %d bytes", n, len(re))
 		}
 	})
+}
+
+// legacyEncodings hand-builds frames and a snapshot in the format that
+// carried the DATA-signature: the SUBMIT ends its body with delta before
+// the piggyback flag, MEM entries are (t, value, delta), and invocation
+// tuples are (client, op, reg, sigma, trace) without a value hash.
+func legacyEncodings() [][]byte {
+	u32 := binary.BigEndian.AppendUint32
+	i64 := func(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+	bs := func(b, x []byte) []byte { return append(u32(b, uint32(len(x))), x...) }
+	delta := bytes.Repeat([]byte{0x44}, 64)
+	tuple := func(b []byte, client, reg uint32, op byte) []byte {
+		b = append(u32(b, client), op)
+		b = bs(u32(b, reg), []byte("sigma"))
+		return append(b, 0) // no trace
+	}
+
+	submit := i64([]byte{byte(wire.KindSubmit)}, 1)
+	submit = tuple(submit, 0, 0, byte(wire.OpWrite))
+	submit = bs(submit, []byte("v1"))
+	submit = append(bs(submit, delta), 0)
+
+	read := i64([]byte{byte(wire.KindSubmit)}, 2)
+	read = tuple(read, 1, 0, byte(wire.OpRead))
+	read = u32(read, ^uint32(0)) // no value
+	read = append(bs(read, delta), 0)
+
+	state := u32(u32(nil, 1), 0)                           // n = 1, c = 0
+	state = bs(bs(i64(state, 1), []byte("v1")), delta)     // MEM[0]
+	state = u32(u32(state, ^uint32(0)), 1)                 // SVER[0]: zero version
+	state = u32(i64(state, 0), ^uint32(0))                 // M[0] = bottom
+	state = u32(state, ^uint32(0))                         // no signature
+	state = tuple(u32(state, 1), 0, 0, byte(wire.OpWrite)) // L = [one tuple]
+	return [][]byte{submit, read, state}
+}
+
+// The legacy encodings are refused, not read as something else.
+func TestLegacyEncodingsRejected(t *testing.T) {
+	for i, old := range legacyEncodings() {
+		if m, err := wire.Decode(old); err == nil {
+			t.Errorf("legacy encoding %d decoded as %#v", i, m)
+		}
+		if st, err := wire.DecodeServerState(old); err == nil {
+			t.Errorf("legacy encoding %d decoded as state %#v", i, st)
+		}
+	}
 }

@@ -15,12 +15,12 @@ func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	rec := LSRecord{Seq: 1, Client: 0, Op: OpWrite, Reg: 0,
 		ValueHash: []byte{1}, ChainHash: []byte{2}, Sig: []byte{3}}
 	samples := []Message{
-		&Submit{T: 1, Inv: Invocation{Client: 0, Op: OpWrite, Reg: 0, SubmitSig: []byte("s")},
-			Value: []byte("v"), DataSig: []byte("d")},
+		&Submit{T: 1, Inv: Invocation{Client: 0, Op: OpWrite, Reg: 0, SubmitSig: []byte("s"), XHash: []byte("h")},
+			Value: []byte("v")},
 		&Submit{T: 2, Inv: Invocation{Client: 1, Op: OpRead, Reg: 0, SubmitSig: []byte("s")},
 			Piggyback: &Commit{Ver: version.New(2), CommitSig: []byte("c")}},
 		&Reply{IsRead: true, C: 0, CVer: ZeroSignedVersion(2), JVer: ZeroSignedVersion(2),
-			Mem: MemEntry{T: 1, Value: []byte("v"), DataSig: []byte("d")},
+			Mem: MemEntry{T: 1, Value: []byte("v"), Op: OpWrite, Reg: 0, SubmitSig: []byte("d")},
 			L:   []Invocation{{Client: 1, Op: OpRead, Reg: 0, SubmitSig: []byte("s")}},
 			P:   []ProofEntry{{Hash: []byte("h0")}, {Hash: []byte("h1"), Sig: []byte("p")}}},
 		&Commit{Ver: version.New(3), CommitSig: []byte("c")},

@@ -27,7 +27,7 @@ type ServerState struct {
 func stateSize(st *ServerState) int {
 	size := 4 + 4 // n, c
 	for _, m := range st.Mem {
-		size += 8 + 4 + len(m.Value) + 4 + len(m.DataSig)
+		size += 8 + 4 + len(m.Value) + 1 + 4 + 4 + len(m.SubmitSig) // t, value, op, reg, sig
 	}
 	for _, sv := range st.Sver {
 		size += 4 + 4 + 8*len(sv.Ver.V) // committer, vector length, V
@@ -38,7 +38,7 @@ func stateSize(st *ServerState) int {
 	}
 	size += 4 // len(L)
 	for _, inv := range st.L {
-		size += 4 + 1 + 4 + 4 + len(inv.SubmitSig)
+		size += 4 + 1 + 4 + 4 + len(inv.SubmitSig) + 4 + len(inv.XHash) + traceCtxSize(inv.Trace)
 	}
 	return size
 }

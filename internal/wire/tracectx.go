@@ -16,16 +16,17 @@ package wire
 // strict bool keeps the codec canonical — there is exactly one byte
 // string for every decoded value, which FuzzWireDecode pins.
 //
-// Signature coverage: a TraceCtx carried by an Invocation is covered by
-// that invocation's SUBMIT-signature (AppendSubmitPayload), and since
-// the server echoes pending invocations verbatim in REPLY.L, verifiers
-// recompute the same payload from the same fields — a server that
-// tampers with a traced invocation's context breaks the signature just
-// as it would by touching the opcode. The Reply and blob-message trace
-// fields are advisory observability metadata on channels that carry no
+// Signature coverage: none. Every trace field is advisory
+// observability metadata. The SUBMIT-signature covers an invocation's
+// opcode, register, timestamp and value hash (AppendSubmitPayload) but
+// not its trace context, which the server echoes in REPLY.L alongside
+// the signed fields. A server that rewrites a trace context can only
+// mislabel spans — exactly what it could do by lying in its own spans —
+// while every field that protocol state depends on stays signed. The
+// Reply and blob-message trace fields travel on channels that carry no
 // server signatures by design (the server holds no keys; blobs are
-// content-addressed), so tampering there can corrupt traces but never
-// state.
+// content-addressed). Tampering with any of them can corrupt traces but
+// never state.
 
 // TraceFlagKeep marks a trace the sender decided to retain.
 const TraceFlagKeep uint8 = 1
@@ -47,8 +48,19 @@ func (t *TraceCtx) Clone() *TraceCtx {
 	return &c
 }
 
+// traceCtxBody is the size of a present trace context's fixed body.
+const traceCtxBody = 16 + 8 + 1
+
+// traceCtxSize returns the encoded size of an optional trace context.
+func traceCtxSize(t *TraceCtx) int {
+	if t == nil {
+		return 1
+	}
+	return 1 + traceCtxBody
+}
+
 // appendTraceCtx encodes the optional trace context: presence bool,
-// then the fixed 25-byte body.
+// then the fixed traceCtxBody-byte body.
 func appendTraceCtx(buf []byte, t *TraceCtx) []byte {
 	if t == nil {
 		return append(buf, 0)
@@ -57,13 +69,6 @@ func appendTraceCtx(buf []byte, t *TraceCtx) []byte {
 	buf = append(buf, t.ID[:]...)
 	buf = appendI64(buf, int64(t.Span))
 	return append(buf, t.Flags)
-}
-
-// appendTracePayload appends the trace context to a signing payload in
-// the same canonical form the codec uses, so signer and verifier agree
-// byte for byte.
-func appendTracePayload(buf []byte, t *TraceCtx) []byte {
-	return appendTraceCtx(buf, t)
 }
 
 // traceCtx decodes an optional trace context.

@@ -3,8 +3,9 @@
 //
 // USTOR (client <-> server, Algorithms 1 and 2):
 //
-//	SUBMIT  carries the operation's timestamp, invocation tuple, the new
-//	        value (writes only) and the DATA-signature.
+//	SUBMIT  carries the operation's timestamp, its invocation tuple
+//	        (signed once, over the signer's value hash as well) and the
+//	        new value (writes only).
 //	REPLY   carries the index c of the last committed operation's client,
 //	        the signed version SVER[c], the list L of invocation tuples of
 //	        concurrent operations, the proof array P (per client, the hash
@@ -79,15 +80,19 @@ type Message interface {
 
 // Invocation is the invocation tuple (i, oc, j, sigma) of Algorithm 1: the
 // invoking client, the opcode, the register index and the
-// SUBMIT-signature. Trace optionally carries the operation's
-// distributed-tracing context; it is covered by the SUBMIT-signature
-// (see AppendSubmitPayload) and echoed verbatim in REPLY.L, so
-// verifiers of pending operations recompute the identical payload.
+// SUBMIT-signature. XHash is H(xbar_i), the hash of the invoker's most
+// recently written value as of this operation (nil = bottom): the
+// SUBMIT-signature covers it too, standing in for the paper's separate
+// DATA-signature (see AppendSubmitPayload), and REPLY.L echoes it so
+// verifiers of pending operations rebuild the signed payload. Trace
+// optionally carries the operation's distributed-tracing context; it is
+// advisory and not signed (see tracectx.go).
 type Invocation struct {
 	Client    int
 	Op        OpCode
 	Reg       int
 	SubmitSig []byte
+	XHash     []byte // nil = bottom, else crypto.HashSize bytes
 	Trace     *TraceCtx
 }
 
@@ -114,37 +119,42 @@ func (sv SignedVersion) Clone() SignedVersion {
 	return c
 }
 
-// MemEntry is the server's MEM[j] record: the last timestamp, register
-// value and DATA-signature received from client C_j. Value == nil encodes
-// the initial bottom value.
+// MemEntry is the server's MEM[j] record: the last timestamp and
+// register value received from client C_j, with the opcode, register
+// and SUBMIT-signature of the invocation that carried that timestamp.
+// The signature covers (Op, Reg, T, H(Value)) — the invoker's latest
+// value hash — so the line-50 check rebuilds its payload from the entry
+// alone. Value == nil encodes the initial bottom value; the initial
+// entry (T == 0) has no invocation.
 type MemEntry struct {
-	T       int64
-	Value   []byte
-	DataSig []byte
+	T         int64
+	Value     []byte
+	Op        OpCode
+	Reg       int
+	SubmitSig []byte
 }
 
 // Clone returns a deep copy. Nil and empty byte strings stay distinct: a
 // nil Value is the paper's bottom while an empty one is a present
 // zero-length register value, and collapsing the latter to nil would
-// make honest empty values fail the reader's DATA-signature check.
+// make honest empty values fail the reader's line-50 check.
 func (m MemEntry) Clone() MemEntry {
-	c := MemEntry{T: m.T}
+	c := MemEntry{T: m.T, Op: m.Op, Reg: m.Reg, SubmitSig: cloneBytes(m.SubmitSig)}
 	if m.Value != nil {
 		c.Value = make([]byte, len(m.Value))
 		copy(c.Value, m.Value)
 	}
-	if m.DataSig != nil {
-		c.DataSig = append([]byte(nil), m.DataSig...)
-	}
 	return c
 }
 
-// Submit is the SUBMIT message of Algorithm 1 (lines 15 and 27).
+// Submit is the SUBMIT message of Algorithm 1 (lines 15 and 27). The
+// paper's SUBMIT also carries a DATA-signature delta on (t, xbar); here
+// the invocation's SUBMIT-signature covers H(xbar) itself, so one
+// signature per operation attests both (see AppendSubmitPayload).
 type Submit struct {
-	T       int64      // the operation's timestamp
-	Inv     Invocation // invocation tuple (i, oc, j, sigma)
-	Value   []byte     // new register value; nil for reads
-	DataSig []byte     // DATA-signature delta on (t, xbar)
+	T     int64      // the operation's timestamp
+	Inv   Invocation // invocation tuple (i, oc, j, sigma) with H(xbar)
+	Value []byte     // new register value; nil for reads
 	// Piggyback optionally carries the COMMIT message of the client's
 	// previous operation, realizing the optimization of Section 5 ("this
 	// message can be eliminated by piggybacking its contents on the
@@ -198,6 +208,7 @@ func (rp *Reply) Clone() *Reply {
 		for i, inv := range rp.L {
 			c.L[i] = inv
 			c.L[i].SubmitSig = append([]byte(nil), inv.SubmitSig...)
+			c.L[i].XHash = cloneBytes(inv.XHash)
 			c.L[i].Trace = inv.Trace.Clone()
 		}
 	}
@@ -260,47 +271,35 @@ var (
 )
 
 // Signing payloads. These are the exact byte strings covered by the
-// signature kinds of Algorithm 1, rendered canonically. The paper's
-// fourth kind, the PROOF-signature psi on M[i], is folded into the
-// COMMIT-signature.
+// signature kinds of Algorithm 1, rendered canonically. The paper has
+// four kinds; here two remain. The DATA-signature delta on (t, xbar) is
+// folded into the SUBMIT-signature, and the PROOF-signature psi on M[i]
+// into the COMMIT-signature.
 
 // SubmitPayload is the payload of the SUBMIT-signature:
-// opcode || register || timestamp || trace context.
-func SubmitPayload(op OpCode, reg int, t int64, tr *TraceCtx) []byte {
-	return AppendSubmitPayload(nil, op, reg, t, tr)
+// opcode || register || timestamp || H(xbar). See AppendSubmitPayload.
+func SubmitPayload(op OpCode, reg int, t int64, xhash []byte) []byte {
+	return AppendSubmitPayload(nil, op, reg, t, xhash)
 }
 
 // AppendSubmitPayload appends the SUBMIT-signature payload to buf and
-// returns the extended slice. The hot path reuses a scratch buffer instead
-// of allocating per signature. The trace context is part of the signed
-// payload: it travels inside the invocation tuple, so verifiers of
-// pending operations (REPLY.L) hold exactly the fields the signer
-// covered, and a server cannot reassign a trace to another operation
-// behind a valid signature.
-func AppendSubmitPayload(buf []byte, op OpCode, reg int, t int64, tr *TraceCtx) []byte {
+// returns the extended slice; the hot path reuses a scratch buffer. xhash
+// is the hash of the signer's most recently written value, or nil
+// (bottom) if it never wrote; bottom encodes as a 0 byte and a hash as a
+// 1 byte followed by the hash, so the two never collide. Binding xhash
+// makes this one signature also the paper's DATA-signature: a signer
+// issues one invocation per timestamp, so t alone determines the
+// (opcode, register, value hash) a valid signature can carry. The trace
+// context is not covered.
+func AppendSubmitPayload(buf []byte, op OpCode, reg int, t int64, xhash []byte) []byte {
 	buf = append(buf, byte(op))
 	buf = appendU32(buf, uint32(reg))
 	buf = appendI64(buf, t)
-	return appendTracePayload(buf, tr)
-}
-
-// DataPayload is the payload of the DATA-signature: timestamp || xbar,
-// where xbar is the hash of the signer's most recently written value or
-// nil (bottom) if it never wrote. Bottom and present hashes encode
-// distinctly.
-func DataPayload(t int64, xbar []byte) []byte {
-	return AppendDataPayload(nil, t, xbar)
-}
-
-// AppendDataPayload appends the DATA-signature payload to buf and returns
-// the extended slice.
-func AppendDataPayload(buf []byte, t int64, xbar []byte) []byte {
-	buf = appendI64(buf, t)
-	if xbar == nil {
+	if xhash == nil {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	return append(buf, xbar...)
+	return append(buf, xhash...)
 }
 
 // CommitPayload is the payload of committer i's COMMIT-signature on
@@ -417,13 +416,16 @@ func appendInvocation(buf []byte, inv Invocation) []byte {
 	buf = appendU8(buf, uint8(inv.Op))
 	buf = appendU32(buf, uint32(inv.Reg))
 	buf = appendBytes(buf, inv.SubmitSig)
+	buf = appendBytes(buf, inv.XHash)
 	return appendTraceCtx(buf, inv.Trace)
 }
 
 func appendMemEntry(buf []byte, m MemEntry) []byte {
 	buf = appendI64(buf, m.T)
 	buf = appendBytes(buf, m.Value)
-	return appendBytes(buf, m.DataSig)
+	buf = appendU8(buf, uint8(m.Op))
+	buf = appendU32(buf, uint32(m.Reg))
+	return appendBytes(buf, m.SubmitSig)
 }
 
 // reader decodes with sticky error handling.
@@ -552,6 +554,7 @@ func (r *reader) invocation() Invocation {
 	inv.Op = OpCode(r.u8())
 	inv.Reg = int(r.u32())
 	inv.SubmitSig = r.bytes()
+	inv.XHash = r.bytes()
 	inv.Trace = r.traceCtx()
 	return inv
 }
@@ -560,7 +563,9 @@ func (r *reader) memEntry() MemEntry {
 	var m MemEntry
 	m.T = r.i64()
 	m.Value = r.bytes()
-	m.DataSig = r.bytes()
+	m.Op = OpCode(r.u8())
+	m.Reg = int(r.u32())
+	m.SubmitSig = r.bytes()
 	return m
 }
 
@@ -568,7 +573,6 @@ func (s *Submit) encodeBody(buf []byte) []byte {
 	buf = appendI64(buf, s.T)
 	buf = appendInvocation(buf, s.Inv)
 	buf = appendBytes(buf, s.Value)
-	buf = appendBytes(buf, s.DataSig)
 	buf = appendBool(buf, s.Piggyback != nil)
 	if s.Piggyback != nil {
 		buf = s.Piggyback.encodeBody(buf)
@@ -677,7 +681,6 @@ func Decode(data []byte) (Message, error) {
 		s.T = r.i64()
 		s.Inv = r.invocation()
 		s.Value = r.bytes()
-		s.DataSig = r.bytes()
 		if r.bool() {
 			c := &Commit{}
 			c.Ver = r.version()

@@ -52,7 +52,12 @@ func sampleInvocation(seed int64) Invocation {
 	if seed%2 == 0 {
 		op = OpWrite
 	}
-	return Invocation{Client: rng.Intn(8), Op: op, Reg: rng.Intn(8), SubmitSig: sig}
+	inv := Invocation{Client: rng.Intn(8), Op: op, Reg: rng.Intn(8), SubmitSig: sig}
+	if seed%3 != 0 {
+		inv.XHash = make([]byte, crypto.HashSize)
+		rng.Read(inv.XHash)
+	}
+	return inv
 }
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -70,16 +75,15 @@ func roundTrip(t *testing.T, m Message) Message {
 
 func TestSubmitRoundTrip(t *testing.T) {
 	roundTrip(t, &Submit{
-		T:       42,
-		Inv:     sampleInvocation(1),
-		Value:   []byte("the value"),
-		DataSig: bytes.Repeat([]byte{7}, 64),
+		T:     42,
+		Inv:   sampleInvocation(1),
+		Value: []byte("the value"),
 	})
 }
 
 func TestSubmitRoundTripNilValue(t *testing.T) {
 	// Reads carry no value; nil must survive the codec (not become empty).
-	m := &Submit{T: 1, Inv: sampleInvocation(2), Value: nil, DataSig: bytes.Repeat([]byte{1}, 64)}
+	m := &Submit{T: 1, Inv: sampleInvocation(2), Value: nil}
 	got := roundTrip(t, m).(*Submit)
 	if got.Value != nil {
 		t.Fatal("nil Value decoded as non-nil")
@@ -102,7 +106,7 @@ func TestReplyReadRoundTrip(t *testing.T) {
 		C:      0,
 		CVer:   sampleSignedVersion(4, 8),
 		JVer:   sampleSignedVersion(4, 9),
-		Mem:    MemEntry{T: 17, Value: []byte("v"), DataSig: bytes.Repeat([]byte{2}, 64)},
+		Mem:    MemEntry{T: 17, Value: []byte("v"), Op: OpWrite, Reg: 3, SubmitSig: bytes.Repeat([]byte{2}, 64)},
 		L:      []Invocation{},
 		P:      sampleProofs(4),
 	})
@@ -172,7 +176,7 @@ func TestDecodeRejectsTruncations(t *testing.T) {
 		C:      1,
 		CVer:   sampleSignedVersion(3, 20),
 		JVer:   sampleSignedVersion(3, 21),
-		Mem:    MemEntry{T: 5, Value: []byte("x"), DataSig: bytes.Repeat([]byte{9}, 64)},
+		Mem:    MemEntry{T: 5, Value: []byte("x"), Op: OpRead, Reg: 2, SubmitSig: bytes.Repeat([]byte{9}, 64)},
 		L:      []Invocation{sampleInvocation(22)},
 		P:      sampleProofs(3, 1),
 	})
@@ -213,23 +217,27 @@ func TestSubmitPayloadInjective(t *testing.T) {
 	add("write-0-1", SubmitPayload(OpWrite, 0, 1, nil))
 	add("read-1-1", SubmitPayload(OpRead, 1, 1, nil))
 	add("read-0-2", SubmitPayload(OpRead, 0, 2, nil))
-	tc := &TraceCtx{Span: 1}
-	tc.ID[0] = 0xfa
-	add("read-0-1-traced", SubmitPayload(OpRead, 0, 1, tc))
-	tc2 := &TraceCtx{Span: 2}
-	tc2.ID[0] = 0xfa
-	add("read-0-1-traced-span2", SubmitPayload(OpRead, 0, 1, tc2))
+	h := crypto.Hash([]byte("x"))
+	add("read-0-1-hashed", SubmitPayload(OpRead, 0, 1, h))
+	add("write-0-1-hashed", SubmitPayload(OpWrite, 0, 1, h))
+	add("read-0-1-other-hash", SubmitPayload(OpRead, 0, 1, crypto.Hash([]byte("y"))))
 }
 
-func TestDataPayloadBottomVsHash(t *testing.T) {
-	a := DataPayload(1, nil)
-	b := DataPayload(1, []byte{})
+// The value hash closes the payload with the bottom/hash encoding: 0 for
+// bottom, 1 followed by the hash otherwise.
+func TestSubmitPayloadBottomVsHash(t *testing.T) {
+	a := SubmitPayload(OpWrite, 0, 1, nil)
+	b := SubmitPayload(OpWrite, 0, 1, []byte{})
 	if bytes.Equal(a, b) {
 		t.Fatal("bottom xbar and empty xbar must differ")
 	}
-	c := DataPayload(2, nil)
-	if bytes.Equal(a, c) {
+	if c := SubmitPayload(OpWrite, 0, 2, nil); bytes.Equal(a, c) {
 		t.Fatal("timestamp must be covered")
+	}
+	h := crypto.Hash([]byte("v"))
+	want := append(SubmitPayload(OpWrite, 0, 1, nil)[:len(a)-1], 1)
+	if got := SubmitPayload(OpWrite, 0, 1, h); !bytes.Equal(got, append(want, h...)) {
+		t.Fatalf("hashed payload = %x, want prefix || 1 || hash", got)
 	}
 }
 
@@ -297,15 +305,18 @@ func TestSignedVersionClone(t *testing.T) {
 }
 
 func TestMemEntryClone(t *testing.T) {
-	m := MemEntry{T: 1, Value: []byte("v"), DataSig: []byte("s")}
+	m := MemEntry{T: 1, Value: []byte("v"), Op: OpRead, Reg: 1, SubmitSig: []byte("s")}
 	c := m.Clone()
+	if c.Op != OpRead || c.Reg != 1 {
+		t.Fatal("Clone lost the invocation's opcode or register")
+	}
 	c.Value[0] = 'x'
-	c.DataSig[0] = 'y'
-	if m.Value[0] != 'v' || m.DataSig[0] != 's' {
+	c.SubmitSig[0] = 'y'
+	if m.Value[0] != 'v' || m.SubmitSig[0] != 's' {
 		t.Fatal("Clone shares memory")
 	}
 	nilClone := (MemEntry{T: 2}).Clone()
-	if nilClone.Value != nil || nilClone.DataSig != nil {
+	if nilClone.Value != nil || nilClone.SubmitSig != nil {
 		t.Fatal("nil fields must stay nil")
 	}
 }
@@ -339,7 +350,7 @@ func TestQuickReplyRoundTrip(t *testing.T) {
 		}
 		if rp.IsRead {
 			rp.JVer = sampleSignedVersion(n, rng.Int63())
-			rp.Mem = MemEntry{T: rng.Int63n(100), Value: []byte("v"), DataSig: []byte("d")}
+			rp.Mem = MemEntry{T: rng.Int63n(100), Value: []byte("v"), Op: OpWrite, Reg: rng.Intn(n), SubmitSig: []byte("d")}
 		}
 		roundTrip(t, rp)
 	}

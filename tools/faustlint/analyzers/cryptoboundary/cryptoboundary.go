@@ -3,7 +3,7 @@
 //
 // All signing and protocol hashing in the fail-aware stack goes through
 // faust/internal/crypto, whose helpers prepend the domain-separation
-// tags of Algorithm 1 (DomainSubmit/Data/Commit) and feed the
+// tags of Algorithm 1 (DomainSubmit/Commit) and feed the
 // observability counters. A raw ed25519.Sign or sha256.Sum256 call
 // anywhere else can silently bypass that discipline — a signature
 // issued without its domain tag is exactly the cross-protocol confusion
